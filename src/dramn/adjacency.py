@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
 from .dmd import DmdConfig, TimeSeriesWindow, dmd
-from .errors import DataError, InsufficientHistoryError, NumericalFailureError
+from .errors import ConfigError, DataError, NumericalFailureError
 
 N_LAYERS = 5
 
@@ -55,14 +54,6 @@ class AdjacencyTensor:
 
 
 @dataclass(eq=False)
-class AdjacencySequence:
-    """Consecutive window tensors (and their windows) feeding one forecast."""
-
-    tensors: list
-    windows: list
-
-
-@dataclass(eq=False)
 class SequenceSample:
     """Model input: consecutive raw windows, their adjacency tensors, a label."""
 
@@ -90,22 +81,19 @@ class SequenceSample:
 class SequenceConfig:
     """How consecutive windows are carved out of a scenario.
 
-    With ``center_for_adjacency`` set (the default), the decomposition sees
-    each window with its per-channel temporal mean removed: large static
-    offsets (nominal voltage, nominal frequency) would otherwise claim the
-    dominant mode and drown the dynamic structure the layers encode. The
-    raw window, offsets included, still feeds the model's feature path.
+    The decomposition sees each window with its per-channel temporal mean
+    removed: large static offsets (nominal voltage, nominal frequency) would
+    otherwise claim the dominant mode and drown the dynamic structure the
+    layers encode. The raw window, offsets included, still feeds the model's
+    feature path.
     """
 
     l_seq: int = 5
     window_ms: int = 1000
     stride_ms: int = 100
     dmd: DmdConfig = field(default_factory=DmdConfig)
-    center_for_adjacency: bool = True
 
     def __post_init__(self):
-        from .errors import ConfigError
-
         if self.l_seq < 1:
             raise ConfigError(f"l_seq must be >= 1, got {self.l_seq}")
         if self.window_ms < 2:
@@ -123,17 +111,13 @@ class SequenceConfig:
 
     def adjacency_input(self, window: TimeSeriesWindow) -> TimeSeriesWindow:
         """The view of a window the decomposition should consume."""
-        return mean_centered(window) if self.center_for_adjacency else window
+        return mean_centered(window)
 
     def cache_token(self) -> str:
+        # "-c1-" (mean-centered decompositions) stays in the token so that
+        # existing cache files keep matching.
         return (f"L{self.l_seq}-w{self.window_ms}-s{self.stride_ms}"
-                f"-c{int(self.center_for_adjacency)}-{self.dmd.cache_token()}")
-
-
-class WindowSource(Protocol):
-    """Anything that can hand out measurement windows by end time."""
-
-    def window_at(self, end_ms: int, width_ms: int) -> TimeSeriesWindow: ...
+                f"-c1-{self.dmd.cache_token()}")
 
 
 def mean_centered(window: TimeSeriesWindow) -> TimeSeriesWindow:
@@ -267,25 +251,6 @@ def build_adjacency(window: TimeSeriesWindow, cfg: DmdConfig) -> AdjacencyTensor
         axis=-1,
     )
     return normalize_layers(raw, source_window=window.t_start)
-
-
-def build_sequence(scenario: WindowSource, t_end: int, seq_cfg: SequenceConfig):
-    """Carve the l_seq overlapping windows ending at ``t_end`` and build tensors.
-
-    Windows end at t_end - (l_seq-1)*stride, ..., t_end - stride, t_end.
-    Raises InsufficientHistoryError when the scenario cannot supply them.
-    """
-    windows = []
-    for end in seq_cfg.window_ends(t_end):
-        try:
-            windows.append(scenario.window_at(end, seq_cfg.window_ms))
-        except InsufficientHistoryError as exc:
-            raise InsufficientHistoryError(
-                f"sequence ending at {t_end} ms needs a window ending at {end} ms: {exc}"
-            ) from exc
-    tensors = [build_adjacency(seq_cfg.adjacency_input(w), seq_cfg.dmd)
-               for w in windows]
-    return windows, AdjacencySequence(tensors=tensors, windows=windows)
 
 
 def tensor_to_bytes(tensor: AdjacencyTensor) -> bytes:

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
+from .adjacency import build_adjacency
 from .config import RunConfig, load_config
 from .datagen import (
     ScenarioSpec,
@@ -33,7 +34,6 @@ from .evaluation import (
     BenchCase,
     ablation_run,
     evaluate_model,
-    generalization_eval,
     make_noise_augmented,
     noise_sweep,
     predict_proba,
@@ -61,7 +61,7 @@ from .store import (
     write_manifest,
     write_table,
 )
-from .training import Standardizer, split_dataset, train, write_history
+from .training import VARIANTS, Standardizer, split_dataset, train, write_history
 
 METRIC_COLUMNS = ("accuracy", "precision", "recall", "f1", "specificity", "auroc")
 
@@ -95,46 +95,43 @@ def _iter_records(cfg: RunConfig, channels=None):
         yield record
 
 
-def _build_dataset(cfg: RunConfig, width_ms=None, channels=None,
-                   include_generalization=False, use_cache=True):
+def _window_cached(cfg: RunConfig, record, proto, token: str):
+    """Window one scenario, reading and filling its adjacency cache file.
+
+    Returns the windowed scenario and the cache, whose hit and miss counts
+    cover this call.
+    """
+    cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
+    source = cache.source(lambda w: build_adjacency(w, proto.sequence.dmd))
+    windowed = window_dataset(record, proto, tensor_source=source)
+    cache.flush()
+    return windowed, cache
+
+
+def _build_dataset(cfg: RunConfig, width_ms=None, channels=None):
     """Window every stored scenario into sequence samples, using the tensor cache.
 
-    Returns (training samples, generalization samples, stats dict).
+    Returns (training samples, stats dict).
     """
     proto = cfg.window_protocol(width_ms)
     token = proto.sequence.cache_token()
     if channels:
         token += "-ch:" + ",".join(channels)
-    training, generalization = [], []
+    training = []
     stats = {"scenarios": 0, "diverged": 0, "cache_hits": 0, "cache_misses": 0}
     _ensure_dirs(cfg.paths.adjacency_cache)
     for record in _iter_records(cfg, channels):
-        cache = None
-        tensor_source = None
-        if use_cache:
-            cache = ScenarioTensorCache(cfg.paths.adjacency_cache,
-                                        record.scenario_id, token)
-            from .adjacency import build_adjacency
-
-            tensor_source = cache.source(
-                lambda w: build_adjacency(w, proto.sequence.dmd)
-            )
-        windowed = window_dataset(record, proto,
-                                  include_generalization=include_generalization,
-                                  tensor_source=tensor_source)
-        if cache is not None:
-            cache.flush()
-            stats["cache_hits"] += cache.hits
-            stats["cache_misses"] += cache.misses
+        windowed, cache = _window_cached(cfg, record, proto, token)
+        stats["cache_hits"] += cache.hits
+        stats["cache_misses"] += cache.misses
         if windowed.skipped_diverged:
             stats["diverged"] += 1
             continue
         stats["scenarios"] += 1
         training.extend(windowed.training)
-        generalization.extend(windowed.generalization)
     if not training:
         raise DataError("scenario store produced no training samples")
-    return training, generalization, stats
+    return training, stats
 
 
 def _checkpoint_path(cfg: RunConfig) -> str:
@@ -208,7 +205,7 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    samples, _, stats = _build_dataset(cfg)
+    samples, stats = _build_dataset(cfg)
     print(f"windowed {stats['scenarios']} scenarios -> {len(samples)} samples "
           f"(diverged skipped: {stats['diverged']}, cache hits: {stats['cache_hits']})")
     result = train(samples, cfg.train_config(),
@@ -230,7 +227,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     params, std, _ = _load_model(cfg)
     _ensure_dirs(cfg.paths.reports)
-    samples, _, _ = _build_dataset(cfg)
+    samples, _ = _build_dataset(cfg)
     _, _, test_samples = split_dataset(samples, cfg.train_config())
     report = evaluate_model(params, test_samples, std,
                             threshold=cfg.evaluate.threshold)
@@ -259,7 +256,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     if args.window_sweep:
         sweep_rows = []
         for width in cfg.evaluate.window_sweep or (100, 200, 500, 1000, 2000):
-            sw_samples, _, _ = _build_dataset(cfg, width_ms=width)
+            sw_samples, _ = _build_dataset(cfg, width_ms=width)
             sw_result = train(sw_samples, cfg.train_config(),
                               embed_dim=cfg.model.embed_dim,
                               hidden_dim=cfg.model.hidden_dim)
@@ -306,13 +303,7 @@ def _collect_tensors(cfg: RunConfig, events=None):
             continue
         if events is not None and record.event not in events:
             continue
-        cache = ScenarioTensorCache(cfg.paths.adjacency_cache,
-                                    record.scenario_id, token)
-        from .adjacency import build_adjacency
-
-        source = cache.source(lambda w: build_adjacency(w, proto.sequence.dmd))
-        windowed = window_dataset(record, proto, tensor_source=source)
-        cache.flush()
+        windowed, _ = _window_cached(cfg, record, proto, token)
         names = record.channel_names
         bucket = by_event.setdefault(record.event, [])
         for sample in windowed.training:
@@ -329,7 +320,7 @@ def _node_subset_rows(cfg: RunConfig, args):
     for k in cfg.evaluate.node_subsets or (len(names),):
         k = int(k)
         chans = top_k(report, k)
-        sub_samples, _, _ = _build_dataset(cfg, channels=chans)
+        sub_samples, _ = _build_dataset(cfg, channels=chans)
         result = train(sub_samples, cfg.train_config(),
                        embed_dim=cfg.model.embed_dim, hidden_dim=cfg.model.hidden_dim)
         sub_report = evaluate_model(result.params, result.test_samples,
@@ -378,7 +369,7 @@ def cmd_select(cfg: RunConfig, args) -> int:
 def cmd_noise(cfg: RunConfig, args) -> int:
     params, std, _ = _load_model(cfg)
     _ensure_dirs(cfg.paths.reports)
-    samples, _, _ = _build_dataset(cfg)
+    samples, _ = _build_dataset(cfg)
     train_cfg = cfg.train_config()
     train_s, val_s, test_s = split_dataset(samples, train_cfg)
 
@@ -424,9 +415,8 @@ def cmd_noise(cfg: RunConfig, args) -> int:
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     _ensure_dirs(cfg.paths.reports)
-    samples, _, _ = _build_dataset(cfg)
-    variants = tuple(args.variants.split(",")) if args.variants else (
-        "dramn", "lseq1", "lstm", "gcn")
+    samples, _ = _build_dataset(cfg)
+    variants = tuple(args.variants.split(",")) if args.variants else tuple(VARIANTS)
     entries = ablation_run(samples, variants, cfg.train_config(),
                            embed_dim=cfg.model.embed_dim,
                            hidden_dim=cfg.model.hidden_dim,
@@ -517,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train and compare model variants")
     common(p)
     p.add_argument("--variants", default="",
-                   help="comma-separated subset of dramn,lseq1,lstm,gcn")
+                   help=f"comma-separated subset of {','.join(VARIANTS)}")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("bench", help="per-stage runtime benchmark")

@@ -9,7 +9,7 @@ half).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,8 @@ from .adjacency import SequenceConfig, SequenceSample, build_adjacency
 from .datagen import inject_noise
 from .dmd import TimeSeriesWindow
 from .errors import DataError, UndefinedMetricError
-from .model import (
-    ModelDims,
-    forward_trace_batch,
-    gcn_forward_trace_batch,
-    init_params,
-)
-from .training import TrainConfig, stack_inputs, train
+from .model import ModelDims, forward_trace_batch, init_params
+from .training import TrainConfig, get_variant, stack_inputs, train
 
 
 @dataclass(eq=False)
@@ -120,24 +115,38 @@ def evaluate_scores(probs, labels, threshold: float = 0.5) -> MetricsReport:
     return report
 
 
-def predict_proba(params, samples, standardizer=None, variant: str = "dramn",
-                  chunk: int = 512) -> np.ndarray:
-    """Model scores for a list of sequence samples."""
+# Samples scored per forward pass; bounds the memory the trace holds.
+PREDICT_CHUNK = 512
+
+
+def predict_proba(params, samples, standardizer=None, variant: str = "dramn") -> np.ndarray:
+    """Model scores for a list of sequence samples.
+
+    Raises DataError when the samples' step, channel or layer count differs
+    from what the model was built for.
+    """
     if not samples:
         raise DataError("no samples to score")
-    last_only = variant in ("lseq1", "gcn")
+    spec = get_variant(variant)
     out = np.empty(len(samples))
-    for start in range(0, len(samples), chunk):
-        part = samples[start:start + chunk]
-        means, layers, _ = stack_inputs(part, standardizer, last_only=last_only)
-        if variant == "gcn":
-            p = gcn_forward_trace_batch(means, layers, params)["p"]
-        elif variant == "lstm":
-            p = forward_trace_batch(means, None, params, identity_graph=True).p
-        else:
-            p = forward_trace_batch(means, layers, params).p
-        out[start:start + len(part)] = p
+    for start in range(0, len(samples), PREDICT_CHUNK):
+        part = samples[start:start + PREDICT_CHUNK]
+        means, layers, _ = stack_inputs(part, last_only=spec.last_only)
+        _check_sample_dims(means, layers, params.dims)
+        if standardizer is not None:
+            means = standardizer.transform(means)
+        out[start:start + len(part)] = spec.predict(means, layers, params)
     return out
+
+
+def _check_sample_dims(means, layers, dims: ModelDims):
+    want = (dims.l_seq, dims.n, dims.n, dims.d)
+    if means.shape[1:] != want[:2] or layers.shape[1:] != want:
+        raise DataError(
+            f"samples of {means.shape[1]} steps x {means.shape[2]} channels with "
+            f"layer stacks {layers.shape[2:]} do not fit a model of {dims.l_seq} "
+            f"steps x {dims.n} channels x {dims.d} layers"
+        )
 
 
 def evaluate_model(params, samples, standardizer=None, variant: str = "dramn",
@@ -218,9 +227,6 @@ def make_noise_augmented(samples, snr_values, seq_cfg: SequenceConfig,
     return out
 
 
-ABLATION_VARIANTS = ("dramn", "lseq1", "lstm", "gcn")
-
-
 @dataclass(eq=False)
 class AblationEntry:
     variant: str
@@ -238,8 +244,6 @@ def ablation_run(dataset, variants, cfg: TrainConfig, embed_dim: int = 64,
     """
     entries = []
     for variant in variants:
-        if variant not in ABLATION_VARIANTS:
-            raise DataError(f"unknown ablation variant {variant!r}")
         result = train(dataset, cfg, embed_dim=embed_dim, hidden_dim=hidden_dim,
                        variant=variant)
         metrics = evaluate_model(result.params, result.test_samples,

@@ -9,8 +9,7 @@ into a single instability probability.
 The hot path is the batched trace (`forward_trace_batch`), which records
 every intermediate needed for exact reverse-mode differentiation. Because
 the temporal compressor is affine in the window samples, the trace consumes
-per-window channel means instead of full windows; `temporal_compress`
-retains the sample-level contract for single windows.
+per-window channel means instead of full windows.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import AdjacencyTensor, SequenceSample
 from .errors import DataError, NumericalFailureError
 
 CHECKPOINT_MAGIC = b"DRMC"
@@ -65,9 +63,27 @@ class ModelDims:
         return {k: getattr(self, k) for k in ("n", "t", "f", "h", "d", "l_seq")}
 
 
+class _ParamTree:
+    """Storage shared by the parameter families.
+
+    ``ORDER`` is the flattened storage order of the trainable arrays, also
+    the checkpoint layout; ``KIND`` names the family in checkpoint headers.
+    """
+
+    def tree(self) -> dict:
+        """Name -> array view in ORDER; arrays are the live buffers."""
+        return {name: getattr(self, name) for name in self.ORDER}
+
+    def copy(self):
+        return type(self)(dims=self.dims, **{k: v.copy() for k, v in self.tree().items()})
+
+
 @dataclass(eq=False)
-class ModelParams:
+class ModelParams(_ParamTree):
     """All trainable arrays of the cell, compressor, layer mixing, and readout."""
+
+    ORDER = PARAM_ORDER
+    KIND = "dramn"
 
     dims: ModelDims
     conv_scale: np.ndarray  # ()
@@ -90,17 +106,13 @@ class ModelParams:
     readout_w: np.ndarray   # (H,)
     readout_b: np.ndarray   # ()
 
-    def tree(self) -> dict:
-        """Name -> array view in PARAM_ORDER; arrays are the live buffers."""
-        return {name: getattr(self, name) for name in PARAM_ORDER}
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(dims=self.dims, **{k: v.copy() for k, v in self.tree().items()})
-
 
 @dataclass(eq=False)
-class GcnParams:
+class GcnParams(_ParamTree):
     """Single-shot graph-convolution baseline: compress, convolve once, read out."""
+
+    ORDER = GCN_PARAM_ORDER
+    KIND = "gcn"
 
     dims: ModelDims
     conv_scale: np.ndarray
@@ -113,24 +125,6 @@ class GcnParams:
     readout_w: np.ndarray
     readout_b: np.ndarray
 
-    def tree(self) -> dict:
-        return {name: getattr(self, name) for name in GCN_PARAM_ORDER}
-
-    def copy(self) -> "GcnParams":
-        return GcnParams(dims=self.dims, **{k: v.copy() for k, v in self.tree().items()})
-
-
-@dataclass(eq=False)
-class CellState:
-    """Hidden and memory state, one row per channel."""
-
-    h: np.ndarray  # (n, H)
-    c: np.ndarray  # (n, H)
-
-    @classmethod
-    def zeros(cls, n: int, h: int) -> "CellState":
-        return cls(h=np.zeros((n, h)), c=np.zeros((n, h)))
-
 
 def _sigmoid(x):
     """Logistic function without overflow: exp only ever sees -|x|.
@@ -139,6 +133,33 @@ def _sigmoid(x):
     """
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
+def _init_family(cls, dims: ModelDims, seed: int, salt: int, core):
+    """Seeded init of the arrays both families share, around a family's core.
+
+    Weights are uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), drawn in the
+    order proj_w, proj_b, the draws of ``core(u, f, h)``, readout_w. Each
+    family salts the seed, so equal seeds give unrelated weights.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), salt]))
+
+    def u(fan_in, *shape):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    f, h, d = dims.f, dims.h, dims.d
+    return cls(
+        dims=dims,
+        conv_scale=np.ones(()),
+        conv_shift=np.zeros(()),
+        proj_w=u(1, f),
+        proj_b=0.5 * u(1, f),
+        alpha=np.full(d, 1.0 / d),
+        **core(u, f, h),
+        readout_w=u(h, h),
+        readout_b=np.zeros(()),
+    )
 
 
 def init_params(dims: ModelDims, seed: int) -> ModelParams:
@@ -153,49 +174,20 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
     from the origin. The forget-gate bias starts at 1.0 to ease early
     gradient flow; the layer-mixing scalars start uniform at 1/d.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x0D0A]))
+    def gates(u, f, h):
+        return dict(
+            w_xi=u(f, f, h), w_hi=u(h, h, h), b_i=np.zeros(h),
+            w_xf=u(f, f, h), w_hf=u(h, h, h), b_f=np.ones(h),
+            w_xo=u(f, f, h), w_ho=u(h, h, h), b_o=np.zeros(h),
+            w_xg=u(f, f, h), w_hg=u(h, h, h), b_g=np.zeros(h),
+        )
 
-    def u(fan_in, *shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    f, h, d = dims.f, dims.h, dims.d
-    return ModelParams(
-        dims=dims,
-        conv_scale=np.ones(()),
-        conv_shift=np.zeros(()),
-        proj_w=u(1, f),
-        proj_b=0.5 * u(1, f),
-        alpha=np.full(d, 1.0 / d),
-        w_xi=u(f, f, h), w_hi=u(h, h, h), b_i=np.zeros(h),
-        w_xf=u(f, f, h), w_hf=u(h, h, h), b_f=np.ones(h),
-        w_xo=u(f, f, h), w_ho=u(h, h, h), b_o=np.zeros(h),
-        w_xg=u(f, f, h), w_hg=u(h, h, h), b_g=np.zeros(h),
-        readout_w=u(h, h),
-        readout_b=np.zeros(()),
-    )
+    return _init_family(ModelParams, dims, seed, 0x0D0A, gates)
 
 
 def init_gcn_params(dims: ModelDims, seed: int) -> GcnParams:
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6C17]))
-
-    def u(fan_in, *shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    f, h, d = dims.f, dims.h, dims.d
-    return GcnParams(
-        dims=dims,
-        conv_scale=np.ones(()),
-        conv_shift=np.zeros(()),
-        proj_w=u(1, f),
-        proj_b=0.5 * u(1, f),
-        alpha=np.full(d, 1.0 / d),
-        w_g=u(f, f, h),
-        b_g=np.zeros(h),
-        readout_w=u(h, h),
-        readout_b=np.zeros(()),
-    )
+    return _init_family(GcnParams, dims, seed, 0x6C17,
+                        lambda u, f, h: dict(w_g=u(f, f, h), b_g=np.zeros(h)))
 
 
 def zero_gradients(params) -> dict:
@@ -210,50 +202,6 @@ def compress_means(means: np.ndarray, params) -> np.ndarray:
     """
     pooled = params.conv_scale * means + params.conv_shift
     return pooled[..., None] * params.proj_w + params.proj_b
-
-
-def temporal_compress(x_t: np.ndarray, params) -> np.ndarray:
-    """Compress one raw window (T x n) to channel embeddings (n x F).
-
-    Pointwise scale and shift over time, global average over the T axis,
-    then an affine projection to F dimensions. The time average commutes
-    with the affine map, so this reduces to embedding the channel means.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.ndim != 2:
-        raise DataError(f"window slice must be T x n, got shape {x_t.shape}")
-    if x_t.shape != (params.dims.t, params.dims.n):
-        raise DataError(
-            f"window slice shape {x_t.shape} does not match dims "
-            f"({params.dims.t}, {params.dims.n})"
-        )
-    return compress_means(x_t.mean(axis=0), params)
-
-
-def mix_layers(tensor, alpha: np.ndarray) -> np.ndarray:
-    """Collapse the layer stack into one effective graph: sum_k alpha_k layer_k."""
-    layers = tensor.layers if isinstance(tensor, AdjacencyTensor) else np.asarray(tensor)
-    if layers.shape[-1] != alpha.shape[0]:
-        raise DataError(
-            f"{layers.shape[-1]} layers cannot be mixed by {alpha.shape[0]} weights"
-        )
-    return layers @ alpha
-
-
-def cell_step(x_hat: np.ndarray, state: CellState, g_eff: np.ndarray,
-              params: ModelParams) -> CellState:
-    """One gated update with graph-convolved input and hidden pathways."""
-    xt = g_eff @ x_hat
-    ht = g_eff @ state.h
-    i = _sigmoid(xt @ params.w_xi + ht @ params.w_hi + params.b_i)
-    f = _sigmoid(xt @ params.w_xf + ht @ params.w_hf + params.b_f)
-    o = _sigmoid(xt @ params.w_xo + ht @ params.w_ho + params.b_o)
-    g = np.tanh(xt @ params.w_xg + ht @ params.w_hg + params.b_g)
-    c = f * state.c + i * g
-    h = o * np.tanh(c)
-    if not (np.isfinite(h).all() and np.isfinite(c).all()):
-        raise NumericalFailureError("cell update produced non-finite state")
-    return CellState(h=h, c=c)
 
 
 @dataclass(eq=False)
@@ -287,7 +235,7 @@ def forward_trace_batch(means: np.ndarray, layers, params: ModelParams,
     means = np.asarray(means, dtype=np.float64)
     b, l, n = means.shape
     pooled = params.conv_scale * means + params.conv_shift
-    xhat = pooled[..., None] * params.proj_w + params.proj_b
+    xhat = compress_means(means, params)
 
     geff = None
     if not identity_graph:
@@ -331,41 +279,12 @@ def forward_trace_batch(means: np.ndarray, layers, params: ModelParams,
     )
 
 
-def _sample_arrays(sample: SequenceSample):
-    means = sample.channel_means[None, ...]
-    layers = sample.layer_stack[None, ...]
-    return means, layers
-
-
-def forward(sample: SequenceSample, params: ModelParams,
-            identity_graph: bool = False) -> float:
-    """Instability probability in [0, 1] for one sequence sample."""
-    means, layers = _sample_arrays(sample)
-    _check_sample_dims(means, layers, params.dims)
-    trace = forward_trace_batch(means, layers, params, identity_graph=identity_graph)
-    return float(trace.p[0])
-
-
-def _check_sample_dims(means, layers, dims: ModelDims):
-    b, l, n = means.shape
-    if l != dims.l_seq or n != dims.n:
-        raise DataError(
-            f"sample has {l} steps x {n} channels, model expects "
-            f"{dims.l_seq} x {dims.n}"
-        )
-    if layers is not None and layers.shape[2:] != (n, n, dims.d):
-        raise DataError(
-            f"adjacency stack shape {layers.shape[2:]} does not match "
-            f"({n}, {n}, {dims.d})"
-        )
-
-
 def gcn_forward_trace_batch(means: np.ndarray, layers: np.ndarray, params: GcnParams):
     """Baseline forward: embed the last window, convolve once, pool, read out."""
     means = np.asarray(means, dtype=np.float64)
     last = means[:, -1, :]
     pooled = params.conv_scale * last + params.conv_shift
-    xhat = pooled[..., None] * params.proj_w + params.proj_b
+    xhat = compress_means(last, params)
     layers = np.asarray(layers, dtype=np.float64)
     geff = layers[:, -1] @ params.alpha
     xt = geff @ xhat
@@ -380,28 +299,20 @@ def gcn_forward_trace_batch(means: np.ndarray, layers: np.ndarray, params: GcnPa
     }
 
 
-def gcn_forward(sample: SequenceSample, params: GcnParams) -> float:
-    means, layers = _sample_arrays(sample)
-    trace = gcn_forward_trace_batch(means, layers, params)
-    return float(trace["p"][0])
-
-
 def save_checkpoint(params, path, seed: int = 0, meta: dict = None) -> None:
     """Write a bit-exact checkpoint: JSON header + flat float64 LE arrays + CRC.
 
-    Arrays follow PARAM_ORDER (or GCN_PARAM_ORDER for the baseline); the
-    header records dims, seed, the format version, and the array kind.
+    Arrays follow the family's ORDER (PARAM_ORDER, or GCN_PARAM_ORDER for the
+    baseline); the header records dims, seed, the format version, and the
+    family's KIND.
     """
-    kind = "gcn" if isinstance(params, GcnParams) else "dramn"
-    order = GCN_PARAM_ORDER if kind == "gcn" else PARAM_ORDER
-    tree = params.tree()
     payload = b"".join(
-        np.ascontiguousarray(tree[name], dtype="<f8").tobytes() for name in order
+        np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in params.tree().values()
     )
     header = {
         "format": "checkpoint",
         "version": CHECKPOINT_VERSION,
-        "kind": kind,
+        "kind": params.KIND,
         "dims": params.dims.as_dict(),
         "seed": int(seed),
         "crc32": zlib.crc32(payload),
@@ -430,22 +341,23 @@ def load_checkpoint(path):
     if zlib.crc32(payload) != header["crc32"]:
         raise DataError(f"{path}: checkpoint payload checksum mismatch")
     dims = ModelDims(**header["dims"])
+    # A checkpoint's kind is the name of the variant whose init builds its
+    # family. Imported here because training imports this module.
+    from .training import VARIANTS
+
     kind = header.get("kind", "dramn")
-    if kind == "gcn":
-        template, order, cls = init_gcn_params(dims, 0), GCN_PARAM_ORDER, GcnParams
-    else:
-        template, order, cls = init_params(dims, 0), PARAM_ORDER, ModelParams
+    if kind not in VARIANTS:
+        raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
+    template = VARIANTS[kind].init(dims, 0)
     arrays = {}
     offset = 0
-    for name in order:
-        shape = template.tree()[name].shape
-        count = int(np.prod(shape)) if shape else 1
+    for name, arr in template.tree().items():
         arrays[name] = (
-            np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
+            np.frombuffer(payload, dtype="<f8", count=arr.size, offset=offset)
+            .reshape(arr.shape)
             .astype(np.float64)
         )
-        offset += count * 8
+        offset += arr.size * 8
     if offset != len(payload):
         raise DataError(f"{path}: checkpoint payload length mismatch")
-    return cls(dims=dims, **arrays), header
+    return type(template)(dims=dims, **arrays), header

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -39,10 +40,6 @@ class TrainConfig:
     val_fraction: float = 0.1
     test_fraction: float = 0.2
     seed: int = 0
-    loss: str = "mae"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.val_fraction < 1.0 or not 0.0 < self.test_fraction < 1.0:
@@ -55,8 +52,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.early_stop_patience < 0:
             raise ConfigError("early_stop_patience must be >= 0")
-        if self.loss != "mae":
-            raise ConfigError(f"unsupported loss {self.loss!r}")
 
 
 @dataclass(eq=False)
@@ -95,9 +90,6 @@ class Standardizer:
         """Standardize along the trailing channel axis."""
         return (x - self.mean) / self._safe_std()
 
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        return x * self._safe_std() + self.mean
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist(),
                 "std_floor": self.std_floor}
@@ -107,11 +99,6 @@ class Standardizer:
         return cls(mean=np.array(obj["mean"], dtype=np.float64),
                    std=np.array(obj["std"], dtype=np.float64),
                    std_floor=float(obj.get("std_floor", 1e-9)))
-
-
-def mae_loss(p: float, y: float) -> float:
-    """Absolute error between a probability and a binary label."""
-    return abs(float(p) - float(y))
 
 
 def mae_batch(p: np.ndarray, y: np.ndarray) -> float:
@@ -261,15 +248,6 @@ def _check_grads_finite(grads: dict) -> None:
             raise NumericalFailureError(f"non-finite gradient in {name}")
 
 
-def backward(sample, params: ModelParams, y: float, identity_graph: bool = False):
-    """Loss and gradients for one sample; see backward_batch."""
-    means = sample.channel_means[None, ...]
-    layers = None if identity_graph else sample.layer_stack[None, ...]
-    losses, grads = backward_batch(means, layers, params, np.array([y]),
-                                   identity_graph=identity_graph)
-    return float(losses[0]), grads
-
-
 @dataclass(eq=False)
 class AdamWState:
     """First/second moment accumulators and the step counter."""
@@ -290,7 +268,7 @@ def adamw_step(params, grads: dict, state: AdamWState, cfg: TrainConfig):
     directly and is independent of the gradient path.
     """
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for name, p in params.tree().items():
@@ -301,7 +279,7 @@ def adamw_step(params, grads: dict, state: AdamWState, cfg: TrainConfig):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
         p -= cfg.lr * update
         if cfg.weight_decay:
             p -= cfg.lr * cfg.weight_decay * p
@@ -373,23 +351,56 @@ def stack_inputs(samples, standardizer: Standardizer = None, last_only: bool = F
     return means, layers, labels
 
 
-def _variant_fns(variant: str):
-    if variant in ("dramn", "lseq1"):
-        return (
-            lambda m, g, p: forward_trace_batch(m, g, p).p,
-            lambda m, g, p, y: backward_batch(m, g, p, y),
-        )
-    if variant == "lstm":
-        return (
-            lambda m, g, p: forward_trace_batch(m, None, p, identity_graph=True).p,
-            lambda m, g, p, y: backward_batch(m, None, p, y, identity_graph=True),
-        )
-    if variant == "gcn":
-        return (
-            lambda m, g, p: gcn_forward_trace_batch(m, g, p)["p"],
-            lambda m, g, p, y: gcn_backward_batch(m, g, p, y),
-        )
-    raise ConfigError(f"unknown model variant {variant!r}")
+@dataclass(frozen=True)
+class Variant:
+    """One model variant: the inputs it reads and the functions that run it.
+
+    ``init(dims, seed)`` returns fresh parameters, ``predict(means, layers,
+    params)`` the probabilities, and ``gradients(means, layers, params, y)``
+    the per-sample losses and the gradient tree. Each callable looks its
+    function up by module global when it is called, so a wrapper installed
+    on this module (a profiler, a tracer) sees every call.
+    """
+
+    last_only: bool  # reads only the newest window of each sequence
+    init: Callable
+    predict: Callable
+    gradients: Callable
+
+
+_RECURRENT = Variant(
+    last_only=False,
+    init=lambda dims, seed: init_params(dims, seed),
+    predict=lambda m, g, p: forward_trace_batch(m, g, p).p,
+    gradients=lambda m, g, p, y: backward_batch(m, g, p, y),
+)
+
+# The full model and its ablations: one window (lseq1), no graph (lstm), and
+# no recurrence (gcn). The gcn and dramn rows also build the two parameter
+# families, and their names are the checkpoint kinds.
+VARIANTS = {
+    "dramn": _RECURRENT,
+    "lseq1": replace(_RECURRENT, last_only=True),
+    "lstm": replace(
+        _RECURRENT,
+        predict=lambda m, g, p: forward_trace_batch(m, None, p, identity_graph=True).p,
+        gradients=lambda m, g, p, y: backward_batch(m, None, p, y, identity_graph=True),
+    ),
+    "gcn": Variant(
+        last_only=True,
+        init=lambda dims, seed: init_gcn_params(dims, seed),
+        predict=lambda m, g, p: gcn_forward_trace_batch(m, g, p)["p"],
+        gradients=lambda m, g, p, y: gcn_backward_batch(m, g, p, y),
+    ),
+}
+
+
+def get_variant(name: str) -> Variant:
+    """The VARIANTS row for ``name``; ConfigError for an unknown name."""
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown model variant {name!r}; "
+                          f"expected one of {', '.join(VARIANTS)}")
+    return VARIANTS[name]
 
 
 def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
@@ -401,12 +412,12 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
     (patience 0 stops after the first non-improving epoch). Strictly
     sequential, so identical inputs give bit-identical parameters.
     """
+    spec = get_variant(variant)
     train_s, val_s, test_s = split_dataset(dataset, cfg)
     std = Standardizer.fit_windows(w for s in train_s for w in s.windows)
 
-    last_only = variant in ("lseq1", "gcn")
-    m_tr, g_tr, y_tr = stack_inputs(train_s, std, last_only=last_only)
-    m_va, g_va, y_va = stack_inputs(val_s, std, last_only=last_only)
+    m_tr, g_tr, y_tr = stack_inputs(train_s, std, last_only=spec.last_only)
+    m_va, g_va, y_va = stack_inputs(val_s, std, last_only=spec.last_only)
 
     n = m_tr.shape[2]
     dims = ModelDims(
@@ -417,11 +428,7 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
         d=g_tr.shape[-1],
         l_seq=m_tr.shape[1],
     )
-    if variant == "gcn":
-        params = init_gcn_params(dims, cfg.seed)
-    else:
-        params = init_params(dims, cfg.seed)
-    predict_fn, grad_fn = _variant_fns(variant)
+    params = spec.init(dims, cfg.seed)
 
     state = AdamWState.init(params)
     best = params.copy()
@@ -438,14 +445,14 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             try:
-                losses, grads = grad_fn(m_tr[idx], g_tr[idx], params, y_tr[idx])
+                losses, grads = spec.gradients(m_tr[idx], g_tr[idx], params, y_tr[idx])
             except NumericalFailureError as exc:
                 raise NumericalFailureError(
                     f"epoch {epoch}, batch at sample {start}: {exc}"
                 ) from exc
             adamw_step(params, grads, state, cfg)
             loss_sum += float(losses.sum())
-        val_loss = mae_batch(predict_fn(m_va, g_va, params), y_va)
+        val_loss = mae_batch(spec.predict(m_va, g_va, params), y_va)
         wall_ms = (time.perf_counter() - t0) * 1e3
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n_train,
                                   val_loss=val_loss, wall_ms=wall_ms))

@@ -8,7 +8,6 @@ from dramn.adjacency import (
     N_LAYERS,
     SequenceConfig,
     build_adjacency,
-    build_sequence,
     energy_factor,
     layer_coupling,
     layer_energy,
@@ -20,6 +19,7 @@ from dramn.adjacency import (
     tensor_from_bytes,
     tensor_to_bytes,
 )
+from dramn.datagen import GenerationMix, ScenarioRecord, WindowProtocol, window_dataset
 from dramn.dmd import DmdConfig, TimeSeriesWindow
 from dramn.errors import DataError, InsufficientHistoryError
 
@@ -315,46 +315,48 @@ def _stack(phi, lam, length):
     ], axis=-1)
 
 
-class _FakeScenario:
-    """Window source backed by one long synthetic trajectory (1 ms sampling)."""
+def _fake_record(n=3, length_ms=30000, seed=0, event_ms=20000):
+    """A scenario of one synthetic trajectory (1 ms sampling) with its
+    event at ``event_ms``, so its first training sequence ends there."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(length_ms + 1) * 0.001
+    base = np.stack([np.sin(2 * np.pi * (0.8 + 0.2 * i) * t) for i in range(n)],
+                    axis=1)
+    return ScenarioRecord(
+        mix=GenerationMix(34, 33, 33), event="load_increase", seed=seed,
+        trajectory=base + 0.01 * rng.standard_normal(base.shape), dt=0.001,
+        event_ms=event_ms, channel_names=tuple(f"c{i}" for i in range(n)),
+        channel_offsets=np.zeros(n), generator_spectrum=np.zeros(0, dtype=complex),
+    )
 
-    def __init__(self, n=3, length_ms=30000, seed=0):
-        rng = np.random.default_rng(seed)
-        t = np.arange(length_ms + 1) * 0.001
-        base = np.stack([np.sin(2 * np.pi * (0.8 + 0.2 * i) * t) for i in range(n)],
-                        axis=1)
-        self.data = base + 0.01 * rng.standard_normal(base.shape)
 
-    def window_at(self, end_ms, width_ms):
-        start = end_ms - width_ms + 1
-        if start < 0 or end_ms >= self.data.shape[0]:
-            raise InsufficientHistoryError(f"window [{start}, {end_ms}] out of range")
-        return TimeSeriesWindow(data=self.data[start:end_ms + 1], dt=0.001,
-                                t_start=start)
+def _sequence(record, cfg):
+    """The one sequence sample ending at the record's event time."""
+    proto = WindowProtocol(sequence=cfg, sample_count=1)
+    (sample,) = window_dataset(record, proto).training
+    return sample
 
 
 class TestBuildSequence:
     def test_window_start_arithmetic(self):
-        scen = _FakeScenario()
         cfg = SequenceConfig(l_seq=5, window_ms=1000, stride_ms=100)
-        windows, seq = build_sequence(scen, 20000, cfg)
-        starts = [w.t_start for w in windows]
+        sample = _sequence(_fake_record(event_ms=20000), cfg)
+        starts = [w.t_start for w in sample.windows]
         assert starts == [18601, 18701, 18801, 18901, 19001]
-        assert windows[-1].t_start == 19001
-        assert len(seq.tensors) == 5
+        assert sample.windows[-1].t_start == 19001
+        assert len(sample.tensors) == 5
 
     def test_insufficient_history(self):
-        scen = _FakeScenario(length_ms=1200)
+        record = _fake_record(length_ms=1200, event_ms=1200)
         cfg = SequenceConfig(l_seq=5, window_ms=1000, stride_ms=100)
         with pytest.raises(InsufficientHistoryError):
-            build_sequence(scen, 1200, cfg)
+            _sequence(record, cfg)
 
     def test_zero_stride_degenerate(self):
-        scen = _FakeScenario()
         cfg = SequenceConfig(l_seq=3, window_ms=500, stride_ms=0)
-        _, seq = build_sequence(scen, 10000, cfg)
-        for t in seq.tensors[1:]:
-            np.testing.assert_array_equal(t.layers, seq.tensors[0].layers)
+        sample = _sequence(_fake_record(event_ms=10000), cfg)
+        for t in sample.tensors[1:]:
+            np.testing.assert_array_equal(t.layers, sample.tensors[0].layers)
 
 
 class TestMeanCentered:

@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dramn.errors import DataError, UndefinedMetricError
+from dramn.adjacency import AdjacencyTensor, SequenceSample
+from dramn.dmd import TimeSeriesWindow
+from dramn.errors import ConfigError, DataError, UndefinedMetricError
 from dramn.evaluation import (
     BenchCase,
     auroc,
     confusion_metrics,
     evaluate_scores,
+    predict_proba,
     timing_benchmark,
 )
+from dramn.model import ModelDims, init_params
+from dramn.training import VARIANTS
 
 
 def pairwise_auroc(probs, labels):
@@ -119,6 +124,41 @@ class TestEvaluateScores:
         rep = evaluate_scores(np.array([0.9, 0.8]), np.array([1, 1]))
         assert rep.auroc is None
         assert "auroc" in rep.undefined
+
+
+def random_samples(rng, n, l_seq, d=5, count=3):
+    """Sequence samples of random windows and symmetric layer stacks."""
+    samples = []
+    for k in range(count):
+        windows = [TimeSeriesWindow(data=rng.standard_normal((20, n)), dt=0.001)
+                   for _ in range(l_seq)]
+        raw = rng.standard_normal((l_seq, n, n, d))
+        tensors = [AdjacencyTensor(layers=0.5 * (r + r.transpose(1, 0, 2)), n=n)
+                   for r in raw]
+        samples.append(SequenceSample(windows=windows, tensors=tensors, label=k % 2))
+    return samples
+
+
+class TestPredictProba:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_rejects_other_channel_and_step_counts(self, variant):
+        spec = VARIANTS[variant]
+        dims = ModelDims(n=20, t=20, f=8, h=8, d=5, l_seq=1 if spec.last_only else 5)
+        samples = random_samples(np.random.default_rng(3), n=4, l_seq=3)
+        with pytest.raises(DataError):
+            predict_proba(spec.init(dims, 3), samples, variant=variant)
+
+    def test_rejects_other_layer_count(self):
+        dims = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=3)
+        samples = random_samples(np.random.default_rng(4), n=4, l_seq=3, d=3)
+        with pytest.raises(DataError):
+            predict_proba(init_params(dims, 4), samples)
+
+    def test_unknown_variant_rejected(self):
+        dims = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=3)
+        samples = random_samples(np.random.default_rng(5), n=4, l_seq=3)
+        with pytest.raises(ConfigError):
+            predict_proba(init_params(dims, 5), samples, variant="transformer")
 
 
 class TestTimingBenchmark:

@@ -4,23 +4,20 @@ import pytest
 from dramn.adjacency import AdjacencyTensor, SequenceSample
 from dramn.dmd import TimeSeriesWindow
 from dramn.errors import DataError
+from dramn.evaluation import predict_proba
 from dramn.model import (
-    CellState,
     GCN_PARAM_ORDER,
     ModelDims,
     PARAM_ORDER,
-    cell_step,
     compress_means,
-    forward,
     forward_trace_batch,
-    gcn_forward,
+    gcn_forward_trace_batch,
     init_gcn_params,
     init_params,
     load_checkpoint,
-    mix_layers,
     save_checkpoint,
-    temporal_compress,
 )
+from dramn.training import stack_inputs
 
 DIMS = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=3)
 
@@ -39,32 +36,54 @@ def make_sample(rng, dims=DIMS, label=1):
                           scenario_id="s0", t_end=0)
 
 
+def trace_of(sample, params):
+    """The batched forward trace of one sample, as a batch of one."""
+    means, layers, _ = stack_inputs([sample])
+    return forward_trace_batch(means, layers, params)
+
+
+def prob_of(sample, params):
+    return float(trace_of(sample, params).p[0])
+
+
+def zero_params(seed):
+    params = init_params(DIMS, seed)
+    for name in PARAM_ORDER:
+        getattr(params, name)[...] = 0.0
+    return params
+
+
 class TestTemporalCompress:
     def test_zero_input_zero_biases(self):
         params = init_params(DIMS, 0)
         params.proj_b[:] = 0.0
         params.conv_shift[...] = 0.0
-        out = temporal_compress(np.zeros((DIMS.t, DIMS.n)), params)
+        out = compress_means(np.zeros(DIMS.n), params)
         np.testing.assert_array_equal(out, np.zeros((DIMS.n, DIMS.f)))
 
     def test_constant_input_equal_rows(self):
         params = init_params(DIMS, 1)
-        out = temporal_compress(np.full((DIMS.t, DIMS.n), 3.2), params)
+        out = compress_means(np.full((DIMS.t, DIMS.n), 3.2).mean(axis=0), params)
         np.testing.assert_allclose(out, out[0][None, :].repeat(DIMS.n, axis=0))
 
     def test_matches_two_step_reference(self):
+        # Scale and shift every sample, average over time, then project:
+        # the map is affine, so embedding the window's channel means is the same.
         rng = np.random.default_rng(2)
         params = init_params(DIMS, 2)
         x = rng.standard_normal((DIMS.t, DIMS.n))
-        got = temporal_compress(x, params)
+        got = compress_means(x.mean(axis=0), params)
         pooled = (params.conv_scale * x + params.conv_shift).mean(axis=0)
         want = np.outer(pooled, params.proj_w) + params.proj_b
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_shape_mismatch(self):
-        params = init_params(DIMS, 3)
-        with pytest.raises(DataError):
-            temporal_compress(np.zeros((DIMS.t + 1, DIMS.n)), params)
+
+def mixed_graph(layers, alpha):
+    """The effective graph the trace mixes from one (n, n, d) layer stack."""
+    n, _, d = layers.shape
+    params = init_params(ModelDims(n=n, t=2, f=2, h=2, d=d, l_seq=1), 0)
+    params.alpha[:] = alpha
+    return forward_trace_batch(np.zeros((1, 1, n)), layers[None, None], params).geff[0, 0]
 
 
 class TestMixLayers:
@@ -73,93 +92,88 @@ class TestMixLayers:
         layers = rng.standard_normal((4, 4, 5))
         alpha = np.zeros(5)
         alpha[2] = 1.0
-        np.testing.assert_array_equal(mix_layers(layers, alpha), layers[:, :, 2])
+        np.testing.assert_array_equal(mixed_graph(layers, alpha), layers[:, :, 2])
 
     def test_zero_alpha(self):
         layers = np.ones((3, 3, 5))
-        np.testing.assert_array_equal(mix_layers(layers, np.zeros(5)),
+        np.testing.assert_array_equal(mixed_graph(layers, np.zeros(5)),
                                       np.zeros((3, 3)))
 
     def test_uniform_sum(self):
         rng = np.random.default_rng(5)
         layers = rng.standard_normal((3, 3, 5))
-        np.testing.assert_allclose(mix_layers(layers, np.ones(5)),
+        np.testing.assert_allclose(mixed_graph(layers, np.ones(5)),
                                    layers.sum(axis=2), atol=1e-12)
 
 
 class TestCellStep:
     def test_all_zero(self):
-        params = init_params(DIMS, 6)
-        for name in PARAM_ORDER:
-            getattr(params, name)[...] = 0.0
-        state = CellState.zeros(DIMS.n, DIMS.h)
-        out = cell_step(np.zeros((DIMS.n, DIMS.f)), state,
-                        np.zeros((DIMS.n, DIMS.n)), params)
-        np.testing.assert_array_equal(out.c, 0.0)
-        np.testing.assert_array_equal(out.h, 0.0)
+        rng = np.random.default_rng(6)
+        trace = trace_of(make_sample(rng), zero_params(6))
+        # every gate is sigmoid(0) = 0.5 and g = tanh(0) = 0: nothing is stored
+        for c in trace.c_prev[1:]:
+            np.testing.assert_array_equal(c, 0.0)
+        np.testing.assert_array_equal(trace.h_last, 0.0)
 
     def test_unit_memory_hand_value(self):
-        params = init_params(DIMS, 7)
-        for name in PARAM_ORDER:
-            getattr(params, name)[...] = 0.0
-        state = CellState(h=np.zeros((DIMS.n, DIMS.h)),
-                          c=np.ones((DIMS.n, DIMS.h)))
-        out = cell_step(np.zeros((DIMS.n, DIMS.f)), state,
-                        np.zeros((DIMS.n, DIMS.n)), params)
-        # gates all sigmoid(0) = 0.5, g = 0: c' = 0.5, h' = 0.5 tanh(0.5)
-        np.testing.assert_allclose(out.c, 0.5)
-        np.testing.assert_allclose(out.h, 0.5 * np.tanh(0.5))
+        rng = np.random.default_rng(7)
+        params = zero_params(7)
+        params.b_g[:] = np.arctanh(0.5)
+        trace = trace_of(make_sample(rng), params)
+        # gates all sigmoid(0) = 0.5 and g = 0.5: c1 = 0.25, then
+        # c2 = f c1 + i g = 0.375, c3 = 0.4375, h3 = 0.5 tanh(c3)
+        np.testing.assert_allclose(trace.c_prev[1], 0.25)
+        np.testing.assert_allclose(trace.c_prev[2], 0.375)
+        np.testing.assert_allclose(trace.h_last, 0.5 * np.tanh(0.4375))
 
     def test_zero_graph_annihilates_input(self):
         rng = np.random.default_rng(8)
         params = init_params(DIMS, 8)
-        state = CellState.zeros(DIMS.n, DIMS.h)
-        g0 = np.zeros((DIMS.n, DIMS.n))
-        a = cell_step(rng.standard_normal((DIMS.n, DIMS.f)), state, g0, params)
-        b = cell_step(rng.standard_normal((DIMS.n, DIMS.f)), state, g0, params)
-        np.testing.assert_array_equal(a.h, b.h)
+        zero_graph = np.zeros((1, DIMS.l_seq, DIMS.n, DIMS.n, DIMS.d))
+        a = forward_trace_batch(rng.standard_normal((1, DIMS.l_seq, DIMS.n)),
+                                zero_graph, params)
+        b = forward_trace_batch(rng.standard_normal((1, DIMS.l_seq, DIMS.n)),
+                                zero_graph, params)
+        np.testing.assert_array_equal(a.h_last, b.h_last)
 
     def test_gate_bounds(self):
         rng = np.random.default_rng(9)
         params = init_params(DIMS, 9)
-        state = CellState(h=rng.uniform(-0.9, 0.9, (DIMS.n, DIMS.h)),
-                          c=rng.standard_normal((DIMS.n, DIMS.h)))
-        out = cell_step(rng.standard_normal((DIMS.n, DIMS.f)) * 10, state,
-                        rng.standard_normal((DIMS.n, DIMS.n)), params)
-        assert np.abs(out.h).max() < 1.0
+        means = rng.standard_normal((1, DIMS.l_seq, DIMS.n)) * 10
+        layers = rng.standard_normal((1, DIMS.l_seq, DIMS.n, DIMS.n, DIMS.d))
+        trace = forward_trace_batch(means, layers, params)
+        for h in trace.h_prev[1:] + [trace.h_last]:
+            assert np.abs(h).max() < 1.0
 
 
 class TestForward:
     def test_zero_params_give_half(self):
         rng = np.random.default_rng(10)
-        params = init_params(DIMS, 10)
-        for name in PARAM_ORDER:
-            getattr(params, name)[...] = 0.0
-        assert forward(make_sample(rng), params) == 0.5
+        assert prob_of(make_sample(rng), zero_params(10)) == 0.5
 
     def test_readout_saturation(self):
         rng = np.random.default_rng(11)
         params = init_params(DIMS, 11)
         params.readout_b[...] = 50.0
-        assert forward(make_sample(rng), params) == pytest.approx(1.0, abs=1e-15)
+        assert prob_of(make_sample(rng), params) == pytest.approx(1.0, abs=1e-15)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         params = init_params(DIMS, 12)
         sample = make_sample(rng)
-        assert forward(sample, params) == forward(sample, params)
+        assert prob_of(sample, params) == prob_of(sample, params)
 
     def test_probability_range(self):
         rng = np.random.default_rng(13)
         params = init_params(DIMS, 13)
-        p = forward(make_sample(rng), params)
+        p = prob_of(make_sample(rng), params)
         assert 0.0 < p < 1.0
 
     def test_dims_mismatch(self):
         rng = np.random.default_rng(14)
         params = init_params(ModelDims(n=5, t=20, f=8, h=8, d=5, l_seq=3), 14)
         with pytest.raises(DataError):
-            forward(make_sample(rng), params)
+            predict_proba(params, [make_sample(rng)])
 
     def test_node_permutation_equivariance(self):
         rng = np.random.default_rng(15)
@@ -174,8 +188,8 @@ class TestForward:
                      for t in sample.tensors],
             label=sample.label, scenario_id="s0", t_end=0,
         )
-        assert forward(permuted, params) == pytest.approx(
-            forward(sample, params), abs=1e-12)
+        assert prob_of(permuted, params) == pytest.approx(
+            prob_of(sample, params), abs=1e-12)
 
 
 def reference_plain_lstm(means, params):
@@ -292,14 +306,19 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def gcn_prob_of(sample, params):
+    means, layers, _ = stack_inputs([sample])
+    return float(gcn_forward_trace_batch(means, layers, params)["p"][0])
+
+
 class TestGcnBaseline:
     def test_forward_range_and_determinism(self):
         rng = np.random.default_rng(25)
         params = init_gcn_params(DIMS, 25)
         sample = make_sample(rng)
-        p = gcn_forward(sample, params)
+        p = gcn_prob_of(sample, params)
         assert 0.0 < p < 1.0
-        assert gcn_forward(sample, params) == p
+        assert gcn_prob_of(sample, params) == p
 
     def test_uses_only_last_window(self):
         rng = np.random.default_rng(26)
@@ -310,7 +329,7 @@ class TestGcnBaseline:
             tensors=[make_sample(rng).tensors[0]] + sample.tensors[1:],
             label=1, scenario_id="s0", t_end=0,
         )
-        assert gcn_forward(altered, params) == gcn_forward(sample, params)
+        assert gcn_prob_of(altered, params) == gcn_prob_of(sample, params)
 
 
 class TestCompressMeans:

@@ -16,12 +16,11 @@ from dramn.training import (
     Standardizer,
     TrainConfig,
     adamw_step,
-    backward,
     backward_batch,
     gcn_backward_batch,
     mae_batch,
-    mae_loss,
     split_dataset,
+    stack_inputs,
     train,
 )
 
@@ -116,10 +115,10 @@ def reference_backward_batch(means, layers, params, y, identity_graph=False):
 
 class TestMaeLoss:
     def test_exact_match(self):
-        assert mae_loss(0.7, 0.7) == 0.0
+        assert mae_batch([0.7], [0.7]) == 0.0
 
     def test_half(self):
-        assert mae_loss(0.5, 1) == 0.5
+        assert mae_batch([0.5], [1]) == 0.5
 
     def test_batch_mean(self):
         assert mae_batch([0.2, 0.9], [0, 1]) == pytest.approx(0.15)
@@ -195,7 +194,7 @@ class TestBackward:
 
             assert fd_check(params, loss, grads) <= 1e-4
 
-    def test_single_sample_wrapper(self):
+    def test_single_sample_batch(self):
         rng = np.random.default_rng(53)
         params = init_params(TINY, 53)
         windows = [TimeSeriesWindow(data=rng.standard_normal((TINY.t, TINY.n)),
@@ -206,8 +205,10 @@ class TestBackward:
                    for _ in range(TINY.l_seq)]
         sample = SequenceSample(windows=windows, tensors=tensors, label=1,
                                 scenario_id="s", t_end=0)
-        loss, grads = backward(sample, params, 1.0)
-        assert 0.0 <= loss <= 1.0
+        means, layers, y = stack_inputs([sample])
+        losses, grads = backward_batch(means, layers, params, y)
+        assert losses.shape == (1,)
+        assert 0.0 <= losses[0] <= 1.0
         assert set(grads) == set(params.tree())
 
     @pytest.mark.parametrize("n,batch,l_seq", [(4, 7, 3), (20, 32, 5), (3, 1, 1)])
@@ -317,16 +318,6 @@ class TestSplit:
 
 
 class TestStandardizer:
-    def test_transform_inverse_identity(self):
-        rng = np.random.default_rng(80)
-        windows = [TimeSeriesWindow(data=rng.standard_normal((30, 3)) * [1, 5, 0.1]
-                                    + [1.0, 60.0, 0.0], dt=0.001)
-                   for _ in range(4)]
-        std = Standardizer.fit_windows(windows)
-        x = rng.standard_normal((10, 3))
-        np.testing.assert_allclose(std.inverse_transform(std.transform(x)), x,
-                                   atol=1e-9)
-
     def test_constant_channel_floored(self):
         windows = [TimeSeriesWindow(data=np.full((10, 2), 3.0), dt=0.001)]
         std = Standardizer.fit_windows(windows)
@@ -345,10 +336,19 @@ class TestStandardizer:
         np.testing.assert_array_equal(std_a.std, std_b.std)
 
     def test_round_trip_dict(self):
-        std = Standardizer(mean=np.array([1.0, 2.0]), std=np.array([3.0, 4.0]))
+        rng = np.random.default_rng(80)
+        windows = [TimeSeriesWindow(data=rng.standard_normal((30, 3)) * [1, 5, 0.1]
+                                    + [1.0, 60.0, 0.0], dt=0.001)
+                   for _ in range(4)]
+        std = Standardizer.fit_windows(windows)
+        z = std.transform(np.concatenate([w.data for w in windows]))
+        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(z.std(axis=0), 1.0, rtol=1e-9)
         back = Standardizer.from_dict(std.to_dict())
         np.testing.assert_array_equal(back.mean, std.mean)
         np.testing.assert_array_equal(back.std, std.std)
+        x = rng.standard_normal((10, 3))
+        assert back.transform(x).tobytes() == std.transform(x).tobytes()
 
 
 class TestTrainLoop:
@@ -377,8 +377,6 @@ class TestTrainLoop:
         data = dataset_of(24, rng)
         cfg = TrainConfig(epochs=10, early_stop_patience=10, seed=6)
         result = train(data, cfg, embed_dim=8, hidden_dim=8)
-        from dramn.training import stack_inputs
-
         m, g, y = stack_inputs(result.val_samples, result.standardizer)
         got = mae_batch(forward_trace_batch(m, g, result.params).p, y)
         assert got == pytest.approx(min(h.val_loss for h in result.history),
@@ -405,5 +403,3 @@ class TestTrainLoop:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
             TrainConfig(val_fraction=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(loss="bce")
