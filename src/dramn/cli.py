@@ -85,10 +85,13 @@ def _slice_record(record, channels):
     )
 
 
-def _iter_records(cfg: RunConfig, channels=None):
+def _iter_records(cfg: RunConfig, channels=None, ids=None):
+    """Stored scenarios in manifest order; with ``ids``, only those scenarios."""
     store = cfg.paths.scenario_store
     manifest = read_manifest(store)
     for entry in manifest["scenarios"]:
+        if ids is not None and entry["id"] not in ids:
+            continue
         record = load_scenario(os.path.join(store, entry["file"]))
         if channels:
             record = _slice_record(record, channels)
@@ -236,11 +239,14 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
     gen_probs, gen_labels = [], []
     proto = cfg.window_protocol()
-    test_ids = {s.scenario_id for s in test_samples}
-    for record in _iter_records(cfg):
-        if record.diverged or record.scenario_id not in test_ids:
-            continue
-        windowed = window_dataset(record, proto, include_generalization=True)
+    token = proto.sequence.cache_token()
+    for record in _iter_records(cfg, ids={s.scenario_id for s in test_samples}):
+        # the training windows hit the cache _build_dataset filled; the
+        # generalization tensors are built here and not written back
+        cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
+        source = cache.source(lambda w: build_adjacency(w, proto.sequence.dmd))
+        windowed = window_dataset(record, proto, include_generalization=True,
+                                  tensor_source=source)
         if windowed.generalization:
             probs = predict_proba(params, windowed.generalization, std)
             gen_probs.extend(probs.tolist())
@@ -362,7 +368,8 @@ def cmd_select(cfg: RunConfig, args) -> int:
         print(f"top-{k} overlap between {kinds[0]} and {kinds[1]}: "
               f"{count} channels (jaccard {jaccard:.3f})")
     write_json_report(os.path.join(cfg.paths.reports, "node_strength.json"), payload)
-    print("top channels:", ", ".join(str(c) for c in top_k(combined, args.k)))
+    k = min(13, len(names)) if args.k is None else args.k
+    print("top channels:", ", ".join(str(c) for c in top_k(combined, k)))
     return 0
 
 
@@ -494,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="rank channels by cumulative node strength")
     common(p)
-    p.add_argument("--k", type=int, default=13)
+    p.add_argument("--k", type=int, default=None,
+                   help="channels to print (default: 13, or every channel if fewer)")
     p.add_argument("--edge-fraction", type=float, default=0.5, dest="edge_fraction")
     p.set_defaults(fn=cmd_select)
 

@@ -40,6 +40,12 @@ SETTLE_GUARD_MS = 5000
 
 _OSC_IMAG_TOL = 1e-9
 
+# Samples per block of the modal noise filter's scan (`_first_order_scan`),
+# and the largest |ln lam^k| its in-block powers may reach (float64 ends
+# near e^709)
+SCAN_BLOCK = 64
+_SCAN_EXPONENT = 600.0
+
 
 @dataclass(frozen=True)
 class GenerationMix:
@@ -320,24 +326,52 @@ def _propagate(evals, evecs, coef, t_seconds):
     return np.real(evecs @ (np.exp(np.outer(evals, t_seconds)) * coef[:, None]))
 
 
+def _first_order_scan(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """y[:, n] = x[:, n] + lam * y[:, n - 1] for every row at once, from rest.
+
+    A blocked prefix scan. Inside a block of b samples the closed form is
+    y[k] = lam^k * cumsum_j(lam^-j x[j]) + lam^(k+1) * (end of the previous
+    block), so only the carry from block to block is sequential. The block
+    is SCAN_BLOCK samples unless a factor far from the unit circle would
+    push lam^(+-(b-1)) out of float64's exponent range; then it shrinks, so
+    any damping stays finite.
+    """
+    rows, n = x.shape
+    rate = np.abs(np.log(np.abs(lam))).max()
+    b = SCAN_BLOCK
+    if rate * (b - 1) > _SCAN_EXPONENT:
+        b = 1 + int(_SCAN_EXPONENT / rate)
+    b = min(b, n)
+    n_blocks = -(-n // b)
+    y = np.zeros((rows, n_blocks * b), dtype=np.result_type(x, lam))
+    y[:, :n] = x
+    y = y.reshape(rows, n_blocks, b)
+    k = np.arange(b)
+    up = lam[:, None] ** k
+    y *= (lam[:, None] ** -k)[:, None, :]
+    np.cumsum(y, axis=2, out=y)
+    y *= up[:, None, :]
+    carry_gain = lam[:, None] * up                   # lam^(k+1)
+    for i in range(1, n_blocks):
+        y[:, i] += y[:, i - 1, -1:] * carry_gain
+    return y.reshape(rows, n_blocks * b)[:, :n]
+
+
 def _noise_response(system: SurrogateSystem, evals, evecs, cfg: SurrogateConfig,
                     rng, n_samples: int) -> np.ndarray:
     """Stochastic load-fluctuation response, exact by linear superposition.
 
     Per-step white acceleration noise is pushed through the diagonalized
-    one-step dynamics with a first-order IIR filter per mode.
+    one-step dynamics: each mode is a first-order recursion
+    y[n] = u[n] + exp(s dt) y[n-1], computed for all modes at once by
+    `_first_order_scan`.
     """
-    from scipy.signal import lfilter
-
     k = system.a_matrix.shape[0] // 2
     accel = cfg.process_noise_std * rng.standard_normal((k, n_samples))
     forcing = np.zeros((2 * k, n_samples))
     forcing[k:] = accel
     modal_in = np.linalg.solve(evecs, forcing.astype(complex))
-    lam_d = np.exp(evals * cfg.dt)
-    modal_out = np.empty_like(modal_in)
-    for j in range(lam_d.size):
-        modal_out[j] = lfilter([1.0], [1.0, -lam_d[j]], modal_in[j])
+    modal_out = _first_order_scan(modal_in, np.exp(evals * cfg.dt))
     return np.real(evecs @ modal_out)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import N_LAYERS
 from .errors import DataError
 
 

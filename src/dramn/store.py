@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 
-from .adjacency import AdjacencyTensor, tensor_from_bytes, tensor_to_bytes
+from .adjacency import tensor_from_bytes, tensor_to_bytes
 from .datagen import GenerationMix, ScenarioRecord
 from .errors import DataError
 

@@ -43,7 +43,6 @@ from dramn.evaluation import (
     generalization_eval,
     make_noise_augmented,
     noise_sweep,
-    predict_proba,
 )
 from dramn.model import ModelDims, forward_trace_batch, init_params
 from dramn.selection import build_report, top_k

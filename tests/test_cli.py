@@ -123,6 +123,21 @@ class TestSelect:
         assert "event_overlap" in payload
 
 
+    def test_default_k_is_capped_at_channel_count(self, pipeline, capsys):
+        tmp_path, cfg_path = pipeline
+        assert main(["select", "--config", cfg_path]) == 0
+        payload = json.loads((tmp_path / "reports" / "node_strength.json").read_text())
+        n_channels = len(payload["combined_ranking"])
+        assert n_channels < 13
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("top channels:")
+        assert len(line.split(":", 1)[1].split(",")) == n_channels
+
+    def test_explicit_k_out_of_range_exit_code(self, pipeline):
+        _, cfg_path = pipeline
+        assert main(["select", "--config", cfg_path, "--k", "50"]) == 3
+
+
 class TestBench:
     def test_report(self, pipeline):
         tmp_path, cfg_path = pipeline

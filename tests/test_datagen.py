@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from dramn.adjacency import SequenceConfig
+import dramn
 from dramn.datagen import (
+    SCAN_BLOCK,
     GenerationMix,
     ScenarioSpec,
     SurrogateConfig,
@@ -15,6 +20,8 @@ from dramn.datagen import (
     synthesize_scenario,
     ternary_grid,
     window_dataset,
+    _first_order_scan,
+    _noise_response,
 )
 from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
 from dramn.errors import ConfigError, DataError, InsufficientHistoryError, LabelingError
@@ -135,6 +142,85 @@ class TestSynthesize:
     def test_bad_event(self):
         with pytest.raises(ConfigError):
             synthesize_scenario(GenerationMix(50, 25, 25), "earthquake", 1, FAST)
+
+
+
+def loop_scan(x, lam):
+    """Reference: y[:, n] = x[:, n] + lam * y[:, n - 1], one sample at a time."""
+    y = np.empty(x.shape, dtype=np.result_type(x, lam))
+    acc = np.zeros(x.shape[0], dtype=y.dtype)
+    for n in range(x.shape[1]):
+        acc = x[:, n] + lam * acc
+        y[:, n] = acc
+    return y
+
+
+class TestModalScan:
+    # decaying, unit-modulus, growing, real decaying, real unit, real negative
+    LAM = np.array([0.97 * np.exp(0.3j), np.exp(0.1j), 1.01 * np.exp(-0.2j),
+                    0.7 + 0j, 1.0 + 0j, -0.95 + 0j])
+
+    @pytest.mark.parametrize("length", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+                                        3 * SCAN_BLOCK + 5])
+    def test_matches_per_sample_loop(self, length):
+        rng = np.random.default_rng(length)
+        x = (rng.standard_normal((self.LAM.size, length))
+             + 1j * rng.standard_normal((self.LAM.size, length)))
+        np.testing.assert_allclose(_first_order_scan(x, self.LAM), loop_scan(x, self.LAM),
+                                   rtol=1e-12)
+
+    def test_matches_lfilter_on_benchmark_grid(self):
+        signal = pytest.importorskip("scipy.signal")
+        cfg = SurrogateConfig()
+        rng = np.random.default_rng(41)
+        for mix in ternary_grid(100, 10, 10):
+            evals = np.linalg.eigvals(build_surrogate(mix, cfg).a_matrix)
+            lam = np.exp(evals * cfg.dt)
+            x = (rng.standard_normal((lam.size, 60001))
+                 + 1j * rng.standard_normal((lam.size, 60001)))
+            ref = np.array([signal.lfilter([1.0], [1.0, -l], row) for l, row in zip(lam, x)])
+            err = np.abs(_first_order_scan(x, lam) - ref).max(axis=1)
+            assert np.all(err <= 1e-10 * np.abs(ref).max(axis=1)), mix
+
+    @pytest.mark.parametrize("re_s", [-1e4, -1e5])
+    def test_finite_for_heavy_damping(self, re_s):
+        # at dt = 1 ms, lam^-63 is e^630 and e^6300: the block must shrink
+        lam = np.exp(np.array([re_s + 30j, re_s - 30j, re_s + 0j]) * 1e-3)
+        x = np.random.default_rng(5).standard_normal((3, 60001)).astype(complex)
+        y = _first_order_scan(x, lam)
+        assert np.isfinite(y).all()
+        np.testing.assert_allclose(y, loop_scan(x, lam), rtol=1e-12)
+
+    def test_noise_response_is_the_discrete_state_recursion(self):
+        cfg = SurrogateConfig(n_units=3)
+        system = build_surrogate(GenerationMix(50, 25, 25), cfg)
+        evals, evecs = np.linalg.eig(system.a_matrix)
+        n = 3 * SCAN_BLOCK + 5
+        out = _noise_response(system, evals, evecs, cfg, np.random.default_rng(2), n)
+        forcing = np.zeros((6, n))
+        forcing[3:] = cfg.process_noise_std * np.random.default_rng(2).standard_normal((3, n))
+        step = np.real(evecs @ np.diag(np.exp(evals * cfg.dt)) @ np.linalg.inv(evecs))
+        ref = np.empty_like(forcing)
+        state = np.zeros(6)
+        for i in range(n):
+            state = forcing[:, i] + step @ state
+            ref[:, i] = state
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+    def test_generate_imports_no_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dramn.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "from dramn.cli import main\n"
+                "rc = main(['generate', '--config', 'demo'])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                "sys.exit(rc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert (tmp_path / "demo" / "scenarios" / "manifest.json").exists()
 
 
 class TestLabeling:
