@@ -222,35 +222,43 @@ def layer_energy(phi: np.ndarray, lam: np.ndarray, length: int) -> np.ndarray:
     return np.real((phi * e) @ phi.conj().T)
 
 
+def _scale_to_unit_peak(layers: np.ndarray) -> None:
+    """Divide each layer of a finite stack by its peak |entry|, in place;
+    zero layers stay zero."""
+    if not np.isfinite(layers).all():
+        raise NumericalFailureError("layer stack contains non-finite entries")
+    peak = np.abs(layers).max(axis=(0, 1))
+    layers /= np.where(peak > 0.0, peak, 1.0)
+
+
 def normalize_layers(raw: np.ndarray, source_window: int = 0) -> AdjacencyTensor:
     """Divide each layer by its maximum absolute entry; zero layers stay zero."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[0] != raw.shape[1]:
         raise DataError(f"expected an n x n x d stack, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise NumericalFailureError("layer stack contains non-finite entries")
     out = raw.copy()
-    for l in range(raw.shape[2]):
-        peak = np.abs(out[:, :, l]).max()
-        if peak > 0.0:
-            out[:, :, l] /= peak
+    _scale_to_unit_peak(out)
     return AdjacencyTensor(layers=out, n=raw.shape[0], source_window=source_window)
 
 
 def build_adjacency(window: TimeSeriesWindow, cfg: DmdConfig) -> AdjacencyTensor:
-    """Decompose one window and assemble its normalized five-layer tensor."""
+    """Decompose one window and assemble its normalized five-layer tensor.
+
+    The layers are written into one C-contiguous n x n x 5 array, the layout
+    ``np.stack`` of the five matrices gives: the model's layer mixing
+    rounds differently on any other layout.
+    """
     result = dmd(window, cfg)
-    raw = np.stack(
-        [
-            layer_participation(result.modes),
-            layer_coupling(result.modes),
-            layer_phase(result.modes),
-            layer_growth(result.modes, result.eigenvalues),
-            layer_energy(result.modes, result.eigenvalues, result.window_len),
-        ],
-        axis=-1,
-    )
-    return normalize_layers(raw, source_window=window.t_start)
+    phi, lam = result.modes, result.eigenvalues
+    n = phi.shape[0]
+    layers = np.empty((n, n, N_LAYERS))
+    layers[:, :, 0] = layer_participation(phi)
+    layers[:, :, 1] = layer_coupling(phi)
+    layers[:, :, 2] = layer_phase(phi)
+    layers[:, :, 3] = layer_growth(phi, lam)
+    layers[:, :, 4] = layer_energy(phi, lam, result.window_len)
+    _scale_to_unit_peak(layers)
+    return AdjacencyTensor(layers=layers, n=n, source_window=window.t_start)
 
 
 def tensor_to_bytes(tensor: AdjacencyTensor) -> bytes:

@@ -34,6 +34,7 @@ from .evaluation import (
     BenchCase,
     ablation_run,
     evaluate_model,
+    evaluate_scores,
     make_noise_augmented,
     noise_sweep,
     predict_proba,
@@ -61,7 +62,14 @@ from .store import (
     write_manifest,
     write_table,
 )
-from .training import VARIANTS, Standardizer, split_dataset, train, write_history
+from .training import (
+    VARIANTS,
+    Standardizer,
+    split_dataset,
+    split_ids,
+    train,
+    write_history,
+)
 
 METRIC_COLUMNS = ("accuracy", "precision", "recall", "f1", "specificity", "auroc")
 
@@ -85,17 +93,23 @@ def _slice_record(record, channels):
     )
 
 
-def _iter_records(cfg: RunConfig, channels=None, ids=None):
-    """Stored scenarios in manifest order; with ``ids``, only those scenarios."""
+def _iter_records(cfg: RunConfig, channels=None, entries=None):
+    """Stored scenarios in manifest order; with ``entries``, only those
+    manifest entries."""
     store = cfg.paths.scenario_store
-    manifest = read_manifest(store)
-    for entry in manifest["scenarios"]:
-        if ids is not None and entry["id"] not in ids:
-            continue
+    if entries is None:
+        entries = read_manifest(store)["scenarios"]
+    for entry in entries:
         record = load_scenario(os.path.join(store, entry["file"]))
         if channels:
             record = _slice_record(record, channels)
         yield record
+
+
+def _cached_source(cache: ScenarioTensorCache, seq):
+    """A tensor source over ``cache`` that centers and decomposes a raw
+    window only on a miss."""
+    return cache.source(lambda w: build_adjacency(seq.adjacency_input(w), seq.dmd))
 
 
 def _window_cached(cfg: RunConfig, record, proto, token: str):
@@ -105,8 +119,8 @@ def _window_cached(cfg: RunConfig, record, proto, token: str):
     cover this call.
     """
     cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
-    source = cache.source(lambda w: build_adjacency(w, proto.sequence.dmd))
-    windowed = window_dataset(record, proto, tensor_source=source)
+    windowed = window_dataset(record, proto,
+                              tensor_source=_cached_source(cache, proto.sequence))
     cache.flush()
     return windowed, cache
 
@@ -150,6 +164,11 @@ def _load_model(cfg: RunConfig):
     if not os.path.exists(path):
         raise DataError(f"missing checkpoint {path}; run the train command first")
     params, header = load_checkpoint(path)
+    if header.get("seed") != cfg.seed:
+        # the seed fixes the split: another seed would score training
+        # scenarios as test
+        raise DataError(f"checkpoint {path} was trained with seed {header.get('seed')}, "
+                        f"but this run uses seed {cfg.seed}")
     spath = _standardizer_path(cfg)
     if not os.path.exists(spath):
         raise DataError(f"missing standardizer {spath}; run the train command first")
@@ -227,33 +246,43 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _test_entries(cfg: RunConfig):
+    """Manifest entries of the test split, from the manifest alone.
+
+    Every scenario that is not diverged yields training samples, so the ids
+    `split_ids` sees here are those `split_dataset` sees in `train`.
+    """
+    entries = read_manifest(cfg.paths.scenario_store)["scenarios"]
+    _, _, test_ids = split_ids([e["id"] for e in entries if not e["diverged"]],
+                               cfg.train_config())
+    return [e for e in entries if e["id"] in test_ids]
+
+
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     params, std, _ = _load_model(cfg)
     _ensure_dirs(cfg.paths.reports)
-    samples, _ = _build_dataset(cfg)
-    _, _, test_samples = split_dataset(samples, cfg.train_config())
-    report = evaluate_model(params, test_samples, std,
-                            threshold=cfg.evaluate.threshold)
-    rows = [_metric_row("test", report)]
-    payload = {"test": report.to_dict(), "meta": _meta(cfg)}
-
-    gen_probs, gen_labels = [], []
     proto = cfg.window_protocol()
     token = proto.sequence.cache_token()
-    for record in _iter_records(cfg, ids={s.scenario_id for s in test_samples}):
-        # the training windows hit the cache _build_dataset filled; the
-        # generalization tensors are built here and not written back
+    # one pass over the test scenarios: their training windows hit the cache
+    # `train` filled, their generalization tensors are built here, and the
+    # cache is not written back
+    test_samples, gen_probs, gen_labels = [], [], []
+    for record in _iter_records(cfg, entries=_test_entries(cfg)):
         cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
-        source = cache.source(lambda w: build_adjacency(w, proto.sequence.dmd))
         windowed = window_dataset(record, proto, include_generalization=True,
-                                  tensor_source=source)
+                                  tensor_source=_cached_source(cache, proto.sequence))
+        test_samples.extend(windowed.training)
         if windowed.generalization:
             probs = predict_proba(params, windowed.generalization, std)
             gen_probs.extend(probs.tolist())
             gen_labels.extend(s.label for s in windowed.generalization)
+    if not test_samples:
+        raise DataError("the test scenarios produced no samples")
+    report = evaluate_model(params, test_samples, std,
+                            threshold=cfg.evaluate.threshold)
+    rows = [_metric_row("test", report)]
+    payload = {"test": report.to_dict(), "meta": _meta(cfg)}
     if gen_probs:
-        from .evaluation import evaluate_scores
-
         gen_report = evaluate_scores(np.array(gen_probs), np.array(gen_labels),
                                      cfg.evaluate.threshold)
         rows.append(_metric_row("generalization", gen_report))

@@ -376,17 +376,24 @@ def _noise_response(system: SurrogateSystem, evals, evecs, cfg: SurrogateConfig,
 
 
 def _saturate(dev: np.ndarray, linear: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Per-channel measurement saturation.
+    """Per-channel measurement saturation, in place; returns ``dev``.
 
     Identity inside +-linear, then a smooth tanh roll-off that approaches
     +-cap. Monotone, so any threshold inside the linear zone is crossed by
-    the saturated signal exactly when the raw signal crosses it.
+    the saturated signal exactly when the raw signal crosses it. Only the
+    samples beyond the linear zone are computed, so a scenario that stays
+    inside it costs two comparisons per sample. Samples inside it are left
+    as they are; the one value that sign(x) * |x| would change, -0.0, turns
+    into +0.0 when synthesis adds the channel offsets.
     """
-    span = cap - linear
-    mag = np.abs(dev)
-    over = np.maximum(mag - linear, 0.0)
-    compressed = np.where(mag > linear, linear + span * np.tanh(over / span), mag)
-    return np.sign(dev) * compressed
+    beyond = dev > linear
+    beyond |= dev < -linear
+    if beyond.any():
+        lin = np.broadcast_to(linear, dev.shape)[beyond]
+        span = np.broadcast_to(cap, dev.shape)[beyond] - lin
+        x = dev[beyond]
+        dev[beyond] = np.sign(x) * (lin + span * np.tanh((np.abs(x) - lin) / span))
+    return dev
 
 
 def synthesize_scenario(mix: GenerationMix, event: str, seed: int,
@@ -454,8 +461,8 @@ def synthesize_scenario(mix: GenerationMix, event: str, seed: int,
     slots = cfg.kind_slots()
     lin = np.repeat(np.asarray([cfg.meas_linear[i] for i in slots]), k)
     cap = np.repeat(np.asarray([cfg.meas_cap[i] for i in slots]), k)
-    deviations = _saturate((system.output_map @ states).T, lin, cap)
-    trajectory = deviations + system.output_offset
+    trajectory = _saturate((system.output_map @ states).T, lin, cap)
+    trajectory += system.output_offset
 
     if event == "short_circuit":
         clear_row = event_row + int(round(cfg.fault_ms / cfg.ms_per_sample))
@@ -463,8 +470,7 @@ def synthesize_scenario(mix: GenerationMix, event: str, seed: int,
         trajectory[event_row:clear_row + 1, faulted] = cfg.fault_voltage
 
     if cfg.snr_db is not None and np.isfinite(cfg.snr_db):
-        noisy = _add_noise(trajectory, system.output_offset, cfg.snr_db, rng)
-        trajectory = noisy
+        trajectory = _add_noise(trajectory, system.output_offset, cfg.snr_db, rng)
 
     diverged = not np.isfinite(trajectory).all()
     record = ScenarioRecord(
@@ -569,6 +575,12 @@ class WindowedScenario:
 
 def _sample_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
                tensor_source) -> SequenceSample:
+    """One sequence sample ending at ``end_ms``.
+
+    ``tensor_source`` receives each raw window, offsets included, and returns
+    its adjacency tensor; it applies ``SequenceConfig.adjacency_input`` itself
+    when it has to build one, so a cached tensor costs no centering.
+    """
     seq = proto.sequence
     first_start = end_ms - seq.history_ms() + 1
     lo, hi = record._row(first_start), record._row(end_ms)
@@ -588,7 +600,7 @@ def _sample_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
             channel_names=record.channel_names,
             t_start=w_start,
         ))
-    tensors = [tensor_source(seq.adjacency_input(w)) for w in windows]
+    tensors = [tensor_source(w) for w in windows]
     return SequenceSample(
         windows=windows, tensors=tensors, label=record.label,
         scenario_id=record.scenario_id, t_end=end_ms,
@@ -604,11 +616,16 @@ def window_dataset(record: ScenarioRecord, proto: WindowProtocol,
     end times sweep the post-event range; windows before the event and after
     the sweep go to the generalization set only. Diverged records produce
     nothing and are flagged so callers can count the exclusions.
+
+    ``tensor_source(window)`` maps a raw window to its adjacency tensor and
+    does its own centering (``SequenceConfig.adjacency_input``); the default
+    builds every tensor.
     """
     if record.diverged:
         return WindowedScenario(training=[], generalization=[], skipped_diverged=True)
     if tensor_source is None:
-        tensor_source = lambda w: build_adjacency(w, proto.sequence.dmd)  # noqa: E731
+        seq = proto.sequence
+        tensor_source = lambda w: build_adjacency(seq.adjacency_input(w), seq.dmd)  # noqa: E731
     training = [_sample_at(record, end, proto, tensor_source)
                 for end in proto.train_end_times(record)]
     generalization = []
@@ -648,13 +665,19 @@ def _add_noise(data: np.ndarray, offsets: np.ndarray, snr_db: float, rng):
 
     Signal power is measured on the deviation from the channel offset; a
     channel with zero deviation power falls back to unit power so the noise
-    stays finite.
+    stays finite. Returns a new array: the scaled draw with ``data`` added
+    into it.
     """
     dev = data - offsets
-    p_sig = np.mean(dev * dev, axis=0)
+    dev *= dev
+    p_sig = np.mean(dev, axis=0)
+    del dev  # freed before the draw is allocated
     p_sig = np.where(p_sig > 0.0, p_sig, 1.0)
     sigma = np.sqrt(p_sig / (10.0 ** (snr_db / 10.0)))
-    return data + rng.standard_normal(data.shape) * sigma
+    noisy = rng.standard_normal(data.shape)
+    noisy *= sigma
+    noisy += data
+    return noisy
 
 
 def inject_noise(obj, snr_db: float, seed: int = 0):

@@ -174,10 +174,7 @@ def eig_small(a_tilde: np.ndarray):
             f"eigen residual {worst:.3e} exceeds {EIG_RESIDUAL_RTOL:.0e} * ||A|| = "
             f"{EIG_RESIDUAL_RTOL * scale:.3e}"
         )
-    order = sorted(
-        range(lam.size),
-        key=lambda k: (-np.abs(lam[k]), -lam[k].real, -lam[k].imag),
-    )
+    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     return w[:, order], lam[order]
 
 

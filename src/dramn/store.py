@@ -22,15 +22,18 @@ from .errors import DataError
 MANIFEST_NAME = "manifest.json"
 
 
-def _write_header_and_payload(path, header: dict, payload: bytes) -> None:
+def _write_header_and_payload(path, header: dict, payload) -> None:
+    """Write the header line, then ``payload`` (any C-contiguous buffer)."""
     header = dict(header)
     header["crc32"] = zlib.crc32(payload)
-    blob = json.dumps(header, sort_keys=True).encode() + b"\n" + payload
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(payload)
 
 
 def _read_header_and_payload(path):
+    """The header dict and a checksummed memoryview of the payload, which
+    shares the file's buffer instead of copying it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     nl = blob.find(b"\n")
@@ -40,7 +43,7 @@ def _read_header_and_payload(path):
         header = json.loads(blob[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable header: {exc}") from exc
-    payload = blob[nl + 1:]
+    payload = memoryview(blob)[nl + 1:]
     if zlib.crc32(payload) != header.get("crc32"):
         raise DataError(f"{path}: payload checksum mismatch")
     return header, payload
@@ -68,14 +71,18 @@ def save_scenario(record: ScenarioRecord, directory) -> str:
         "offsets": record.channel_offsets.tolist(),
         "spectrum": [[z.real, z.imag] for z in record.generator_spectrum],
     }
-    payload = np.ascontiguousarray(record.trajectory, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(record.trajectory, dtype="<f8")
     path = os.path.join(directory, scenario_filename(record.scenario_id))
     _write_header_and_payload(path, header, payload)
     return path
 
 
 def read_scenario_header(path) -> dict:
-    """Manifest entry for an existing scenario file, without loading the payload."""
+    """Manifest entry for an existing scenario file.
+
+    The whole file is read and its payload checksummed, so a truncated or
+    corrupted file raises DataError; the trajectory itself is not decoded.
+    """
     header, _ = _read_header_and_payload(path)
     if header.get("format") != "scenario":
         raise DataError(f"{path}: not a scenario file")
@@ -99,6 +106,8 @@ def load_scenario(path) -> ScenarioRecord:
     if len(payload) != expected:
         raise DataError(f"{path}: trajectory payload is {len(payload)} bytes, "
                         f"expected {expected}")
+    # astype copies: the record owns its trajectory, and the file buffer
+    # goes when this returns
     trajectory = (
         np.frombuffer(payload, dtype="<f8")
         .reshape(n_samples, n_channels)

@@ -286,19 +286,17 @@ def adamw_step(params, grads: dict, state: AdamWState, cfg: TrainConfig):
     return params, state
 
 
-def split_dataset(dataset, cfg: TrainConfig, seed: int = None):
-    """Scenario-level train/val/test split.
+def split_ids(ids, cfg: TrainConfig, seed: int = None):
+    """Scenario-level train/val/test assignment of scenario ids.
 
-    Every sample of one scenario lands in the same partition so overlapping
-    windows cannot leak across splits. Proportions are rounded to whole
-    scenarios; the assignment is a pure function of the scenario ids and the
-    seed.
+    Proportions are rounded to whole scenarios; the assignment is a pure
+    function of the set of ids and the seed. Returns three sets of ids.
     """
-    if not dataset:
-        raise DataError("cannot split an empty dataset")
     if seed is None:
         seed = cfg.seed
-    ids = sorted({s.scenario_id for s in dataset})
+    ids = sorted(set(ids))
+    if not ids:
+        raise DataError("cannot split an empty dataset")
     n_test = int(round(len(ids) * cfg.test_fraction))
     n_val = int(round((len(ids) - n_test) * cfg.val_fraction))
     n_train = len(ids) - n_test - n_val
@@ -311,8 +309,19 @@ def split_dataset(dataset, cfg: TrainConfig, seed: int = None):
     order = rng.permutation(len(ids))
     test_ids = {ids[k] for k in order[:n_test]}
     val_ids = {ids[k] for k in order[n_test:n_test + n_val]}
-    train = [s for s in dataset if s.scenario_id not in test_ids
-             and s.scenario_id not in val_ids]
+    train_ids = {ids[k] for k in order[n_test + n_val:]}
+    return train_ids, val_ids, test_ids
+
+
+def split_dataset(dataset, cfg: TrainConfig, seed: int = None):
+    """Scenario-level train/val/test split of samples, by `split_ids`.
+
+    Every sample of one scenario lands in the same partition so overlapping
+    windows cannot leak across splits; each partition keeps the dataset's
+    order.
+    """
+    train_ids, val_ids, test_ids = split_ids((s.scenario_id for s in dataset), cfg, seed)
+    train = [s for s in dataset if s.scenario_id in train_ids]
     val = [s for s in dataset if s.scenario_id in val_ids]
     test = [s for s in dataset if s.scenario_id in test_ids]
     return train, val, test

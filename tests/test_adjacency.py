@@ -20,7 +20,7 @@ from dramn.adjacency import (
     tensor_to_bytes,
 )
 from dramn.datagen import GenerationMix, ScenarioRecord, WindowProtocol, window_dataset
-from dramn.dmd import DmdConfig, TimeSeriesWindow
+from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
 from dramn.errors import DataError, InsufficientHistoryError
 
 
@@ -261,6 +261,64 @@ class TestBuildAdjacency:
         within = min(part[0, 1], part[2, 3])
         cross = max(part[0, 2], part[0, 3], part[1, 2], part[1, 3])
         assert cross < 0.05 * within
+
+
+def reference_normalize(raw):
+    """Reference for `normalize_layers`: one layer at a time."""
+    out = np.asarray(raw, dtype=np.float64).copy()
+    for l in range(out.shape[2]):
+        peak = np.abs(out[:, :, l]).max()
+        if peak > 0.0:
+            out[:, :, l] /= peak
+    return out
+
+
+def reference_build(window, cfg):
+    """Reference for `build_adjacency`: `np.stack` of the five layers."""
+    result = dmd(window, cfg)
+    raw = np.stack(
+        [
+            layer_participation(result.modes),
+            layer_coupling(result.modes),
+            layer_phase(result.modes),
+            layer_growth(result.modes, result.eigenvalues),
+            layer_energy(result.modes, result.eigenvalues, result.window_len),
+        ],
+        axis=-1,
+    )
+    return reference_normalize(raw)
+
+
+class TestBuildAdjacencyBits:
+    """The one-array layer assembly keeps the bits and the C layout of
+    `np.stack` + per-layer normalization. The layout matters: the model's
+    `layers @ alpha` rounds differently on a transposed view of equal
+    values."""
+
+    def _windows(self):
+        rng = np.random.default_rng(31)
+        out = [mean_centered(lti_window(rng, n=n, steps=300, offset=1.0))
+               for n in (2, 3, 6, 20) for _ in range(3)]
+        out.append(TimeSeriesWindow(data=np.full((60, 3), 1.5), dt=0.001))
+        return out
+
+    def test_matches_stack_and_per_layer_normalize(self):
+        for w in self._windows():
+            for cfg in (DmdConfig(), DmdConfig(rank=2)):
+                t = build_adjacency(w, cfg)
+                ref = reference_build(w, cfg)
+                assert t.layers.flags.c_contiguous
+                assert t.layers.shape == ref.shape and t.layers.strides == ref.strides
+                assert t.layers.tobytes() == ref.tobytes()
+
+    def test_normalize_matches_per_layer_loop(self):
+        rng = np.random.default_rng(32)
+        for n in (1, 3, 7):
+            raw = rng.standard_normal((n, n, N_LAYERS)) * 10.0 ** rng.uniform(-5, 5, N_LAYERS)
+            raw[:, :, 2] = 0.0
+            t = normalize_layers(raw)
+            assert t.layers.tobytes() == reference_normalize(raw).tobytes()
+            assert t.layers.flags.c_contiguous
 
 
 class TestInvariantProperties:

@@ -1,10 +1,31 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
+import dramn.adjacency as adjacency
+from dramn import cli
+from dramn.adjacency import SequenceConfig
 from dramn.cli import main
-from dramn.store import read_manifest
+from dramn.config import load_config
+from dramn.datagen import (
+    GenerationMix,
+    SurrogateConfig,
+    WindowProtocol,
+    synthesize_scenario,
+    window_dataset,
+)
+from dramn.dmd import DmdConfig
+from dramn.store import (
+    ScenarioTensorCache,
+    load_scenario,
+    manifest_entry,
+    read_manifest,
+    save_scenario,
+    write_manifest,
+)
+from dramn.training import split_dataset
 
 
 def demo_config(tmp_path, **overrides):
@@ -109,6 +130,85 @@ class TestEvaluate:
         cfg_path = demo_config(tmp_path)
         assert main(["generate", "--config", cfg_path]) == 0
         assert main(["evaluate", "--config", cfg_path]) == 3
+
+
+    def test_refuses_checkpoint_of_another_seed(self, pipeline, capsys):
+        # the seed fixes the split, so another seed would score training
+        # scenarios as test
+        _, cfg_path = pipeline
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg_path, "--seed", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "seed 3" in err and "seed 4" in err
+        assert main(["noise", "--config", cfg_path, "--seed", "4"]) == 3
+        assert main(["evaluate", "--config", cfg_path, "--seed", "3"]) == 0
+
+    def test_manifest_split_equals_sample_split(self, tmp_path):
+        cfg_path = demo_config(tmp_path)
+        assert main(["generate", "--config", cfg_path]) == 0
+        cfg = load_config(cfg_path)
+        store = cfg.paths.scenario_store
+        entries = read_manifest(store)["scenarios"]
+        diverged = load_scenario(os.path.join(store, entries[4]["file"]))
+        diverged.diverged = True
+        save_scenario(diverged, store)
+        entries[4] = manifest_entry(diverged)
+        write_manifest(store, entries)
+
+        samples, stats = cli._build_dataset(cfg)
+        assert stats["diverged"] == 1
+        for seed in range(10):
+            seeded = dataclasses.replace(cfg, seed=seed)
+            _, _, test = split_dataset(samples, seeded.train_config())
+            want = list(dict.fromkeys(s.scenario_id for s in test))
+            assert [e["id"] for e in cli._test_entries(seeded)] == want
+
+
+class TestTensorSource:
+    """A cached tensor source gets raw windows and centers only on a miss."""
+
+    def test_centers_and_builds_only_on_misses(self, tmp_path, monkeypatch):
+        surrogate = SurrogateConfig(n_units=2, include_pq=False, include_line_flows=False,
+                                    duration_ms=24000)
+        record = synthesize_scenario(GenerationMix(50, 25, 25), "load_increase", 3,
+                                     surrogate)
+        proto = WindowProtocol(
+            sequence=SequenceConfig(l_seq=3, window_ms=200, stride_ms=100,
+                                    dmd=DmdConfig(rank=3)),
+            sample_count=3,
+        )
+        centered = []
+        real_mean_centered = adjacency.mean_centered
+        monkeypatch.setattr(adjacency, "mean_centered",
+                            lambda w: centered.append(w) or real_mean_centered(w))
+
+        def window_once():
+            cache = ScenarioTensorCache(tmp_path, record.scenario_id, "tok")
+            cached = cli._cached_source(cache, proto.sequence)
+            received = []
+
+            def source(w):
+                received.append(w)
+                return cached(w)
+
+            windowed = window_dataset(record, proto, tensor_source=source)
+            cache.flush()
+            return cache, received, windowed
+
+        cache, received, first = window_once()
+        assert len(received) == 3 * 3
+        assert cache.misses == len(centered) == len(received) and cache.hits == 0
+        for w in received:
+            lo = record._row(w.t_start)
+            assert w.data.tobytes() == record.trajectory[lo:lo + w.n_samples].tobytes()
+
+        centered.clear()
+        cache, received, second = window_once()
+        assert cache.hits == len(received) == 9
+        assert cache.misses == 0 and not centered
+        for a, b in zip(first.training, second.training):
+            for ta, tb in zip(a.tensors, b.tensors):
+                assert ta.layers.tobytes() == tb.layers.tobytes()
 
 
 class TestSelect:

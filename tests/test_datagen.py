@@ -20,8 +20,10 @@ from dramn.datagen import (
     synthesize_scenario,
     ternary_grid,
     window_dataset,
+    _add_noise,
     _first_order_scan,
     _noise_response,
+    _saturate,
 )
 from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
 from dramn.errors import ConfigError, DataError, InsufficientHistoryError, LabelingError
@@ -429,6 +431,96 @@ class TestInjectNoise:
         added = noisy.trajectory - rec.trajectory
         ratio = (dev ** 2).mean(axis=0) / (added ** 2).mean(axis=0)
         np.testing.assert_allclose(10 * np.log10(ratio), 30.0, atol=0.5)
+
+
+def reference_saturate(dev, linear, cap):
+    """Reference for `_saturate`: out of place, np.where over every sample."""
+    span = cap - linear
+    mag = np.abs(dev)
+    over = np.maximum(mag - linear, 0.0)
+    compressed = np.where(mag > linear, linear + span * np.tanh(over / span), mag)
+    return np.sign(dev) * compressed
+
+
+def reference_add_noise(data, offsets, snr_db, rng):
+    """Reference for `_add_noise`: out of place, one temporary per step."""
+    dev = data - offsets
+    p_sig = np.mean(dev * dev, axis=0)
+    p_sig = np.where(p_sig > 0.0, p_sig, 1.0)
+    sigma = np.sqrt(p_sig / (10.0 ** (snr_db / 10.0)))
+    return data + rng.standard_normal(data.shape) * sigma
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestInPlaceMeasurementBits:
+    """Saturation and measurement noise keep the bits of their out-of-place
+    forms (the references above), on the layouts synthesis feeds them."""
+
+    LINEAR = np.array([0.15, 0.15, 1.5, 1.5, 1.0])
+    CAP = np.array([0.5, 0.5, 5.0, 5.0, 3.0])
+
+    def _deviations(self, fortran):
+        # channel-major like `output_map @ states`, read transposed: samples
+        # inside the linear zone, between it and the cap, beyond the cap,
+        # exact zeros of both signs and infinities
+        rng = np.random.default_rng(17)
+        dev = rng.standard_normal((5, 4000)) * np.array([[0.3], [0.05], [4.0], [1.0], [9.0]])
+        dev[0, :6] = [0.0, -0.0, np.inf, -np.inf, 0.15, -0.15]
+        dev[2, :3] = [1e300, -1e300, 5.0]
+        return dev.T if fortran else np.ascontiguousarray(dev.T)
+
+    @pytest.mark.parametrize("fortran", [True, False])
+    def test_saturate_matches_reference(self, fortran):
+        dev = self._deviations(fortran)
+        assert (np.abs(dev) > self.CAP).any() and (np.abs(dev) > self.LINEAR).any()
+        expected = reference_saturate(dev, self.LINEAR, self.CAP)
+        negative_zero = (dev == 0.0) & np.signbit(dev)
+        out = _saturate(dev, self.LINEAR, self.CAP)
+        assert out is dev
+        # -0.0 stays -0.0 (the reference's sign(x) * |x| gives +0.0); the
+        # offsets synthesis adds next map both to the same value
+        assert negative_zero.any() and np.signbit(out[negative_zero]).all()
+        offsets = np.array([1.0, 0.0, 60.0, 0.0, 0.0])
+        assert same_bits(out + offsets, expected + offsets)
+        out[negative_zero] = 0.0
+        assert same_bits(out, expected)
+        assert np.abs(out).max() <= self.CAP.max()
+
+    def test_saturate_inside_linear_zone_is_identity(self):
+        dev = np.random.default_rng(5).uniform(-0.15, 0.15, (4000, 5))
+        before = dev.copy()
+        assert same_bits(_saturate(dev, self.LINEAR, self.CAP), before)
+
+    @pytest.mark.parametrize("fortran", [True, False])
+    def test_add_noise_matches_reference(self, fortran):
+        dev = self._deviations(fortran)
+        dev[~np.isfinite(dev)] = 0.0
+        offsets = np.array([1.0, 1.0, 60.0, 0.0, 0.0])
+        data = _saturate(dev, self.LINEAR, self.CAP)
+        data += offsets
+        data[:, 3] = 0.0  # zero deviation power: unit-power floor
+        before = data.copy()
+        expected = reference_add_noise(data, offsets, 25.0, np.random.default_rng(3))
+        noisy = _add_noise(data, offsets, 25.0, np.random.default_rng(3))
+        assert same_bits(noisy, expected)
+        assert same_bits(data, before)
+
+    def test_synthesis_matches_reference_forms(self, monkeypatch):
+        import dramn.datagen as datagen
+
+        cfg = SurrogateConfig(n_units=3, include_pq=True, include_line_flows=False,
+                              duration_ms=30000, event_ms=10000)
+        mix = GenerationMix(34, 17, 49)  # grows past the cap after the event
+        new = synthesize_scenario(mix, "short_circuit", 9, cfg)
+        monkeypatch.setattr(datagen, "_saturate", reference_saturate)
+        monkeypatch.setattr(datagen, "_add_noise", reference_add_noise)
+        old = synthesize_scenario(mix, "short_circuit", 9, cfg)
+        assert new.label == old.label == 1
+        assert same_bits(new.trajectory, old.trajectory)
 
 
 class TestDatasetDeterminism:

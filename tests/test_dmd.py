@@ -187,6 +187,38 @@ class TestEigSmall:
         with pytest.raises(ValueError):
             eig_small(np.eye(33))
 
+    @staticmethod
+    def reference_order(lam):
+        """Reference for `eig_small`'s order: a stable Python sort."""
+        return sorted(range(lam.size),
+                      key=lambda k: (-np.abs(lam[k]), -lam[k].real, -lam[k].imag))
+
+    def _operators(self):
+        rng = np.random.default_rng(23)
+        rot = lambda r, th: r * np.array([[np.cos(th), -np.sin(th)],  # noqa: E731
+                                          [np.sin(th), np.cos(th)]])
+        ops = [
+            # ties in modulus (0.9, -0.9, 0.9j pair) and a full tie (0.3 twice)
+            np.diag([0.3, -0.9, 0.9, 0.3, 0.0, -0.0]),
+            # a conjugate pair: tied in modulus and real part
+            np.block([[rot(0.8, 0.6), np.zeros((2, 2))],
+                      [np.zeros((2, 2)), np.diag([0.8, -0.8])]]),
+            # two conjugate pairs of one modulus and the real eigenvalues on it
+            np.block([[rot(1.0, 0.5), np.zeros((2, 3))],
+                      [np.zeros((3, 2)), np.diag([1.0, -1.0, 0.0])]]),
+            np.array([[0.0, -1.0], [1.0, 0.0]]),
+        ]
+        ops += [rng.standard_normal((r, r)) for r in (1, 2, 3, 5, 8) for _ in range(20)]
+        return ops
+
+    def test_order_matches_reference_sort(self):
+        for a in self._operators():
+            w, lam = eig_small(a)
+            lam0, w0 = np.linalg.eig(a)
+            order = self.reference_order(lam0)
+            assert lam.tobytes() == lam0[order].tobytes()
+            assert w.tobytes() == w0[:, order].tobytes()
+
 
 class TestDmdModes:
     def test_scalar_system(self):

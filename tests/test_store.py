@@ -15,6 +15,7 @@ from dramn.store import (
     save_scenario,
     write_manifest,
     write_table,
+    _read_header_and_payload,
 )
 
 FAST = SurrogateConfig(n_units=3, include_pq=False, duration_ms=30000,
@@ -42,6 +43,15 @@ class TestScenarioStore:
         path = save_scenario(record, tmp_path)
         entry = read_scenario_header(path)
         assert entry == manifest_entry(record)
+
+    def test_payload_is_a_view_and_the_trajectory_owns_its_copy(self, tmp_path, record):
+        path = save_scenario(record, tmp_path)
+        _, payload = _read_header_and_payload(path)
+        assert isinstance(payload, memoryview)
+        assert payload.nbytes == record.trajectory.nbytes
+        back = load_scenario(path)
+        assert back.trajectory.flags.owndata and back.trajectory.flags.writeable
+        assert back.trajectory.dtype == np.float64
 
     def test_corruption_detected(self, tmp_path, record):
         path = save_scenario(record, tmp_path)
