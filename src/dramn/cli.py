@@ -1,4 +1,4 @@
-"""Command-line entry point: generate, train, evaluate, select, noise, ablate, bench.
+"""Command-line entry point: generate, train, evaluate, select, noise, ablate.
 
 Commands communicate only through files (scenario store, adjacency cache,
 checkpoints, reports), so any command can be re-run from the artifacts of
@@ -31,14 +31,12 @@ from .datagen import (
 )
 from .errors import ConfigError, DataError, NumericalFailureError
 from .evaluation import (
-    BenchCase,
     ablation_run,
     evaluate_model,
     evaluate_scores,
     make_noise_augmented,
     noise_sweep,
     predict_proba,
-    timing_benchmark,
 )
 from .model import load_checkpoint, save_checkpoint
 from .selection import (
@@ -172,8 +170,16 @@ def _load_model(cfg: RunConfig):
     spath = _standardizer_path(cfg)
     if not os.path.exists(spath):
         raise DataError(f"missing standardizer {spath}; run the train command first")
-    with open(spath, "r", encoding="utf-8") as fh:
-        std = Standardizer.from_dict(json.load(fh))
+    try:
+        with open(spath, "r", encoding="utf-8") as fh:
+            std = Standardizer.from_dict(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:
+        # bad UTF-8 or JSON (both ValueErrors), or missing or mistyped keys
+        raise DataError(f"{spath}: unreadable standardizer: {exc!r}") from exc
+    n = params.dims.n
+    if std.mean.shape != (n,) or std.std.shape != (n,):
+        raise DataError(f"{spath}: standardizer of shapes {std.mean.shape}/"
+                        f"{std.std.shape} for a model of {n} channels")
     return params, std, header
 
 
@@ -476,23 +482,6 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig, args) -> int:
-    _ensure_dirs(cfg.paths.reports)
-    cases = [BenchCase(n=int(n), t=cfg.window.width_ms, l_seq=cfg.window.l_seq,
-                       f=cfg.model.embed_dim, h=cfg.model.hidden_dim)
-             for n in cfg.evaluate.bench_sizes]
-    rows_raw = timing_benchmark(cases, repetitions=cfg.evaluate.bench_repetitions,
-                                seed=cfg.seed, dmd_cfg=cfg.dmd_config())
-    rows = [(r["stage"], r["n"], r["t"], r["mean_ms"], r["p95_ms"]) for r in rows_raw]
-    write_table(os.path.join(cfg.paths.reports, "bench.tsv"),
-                ("stage", "n", "t", "mean_ms", "p95_ms"), rows, meta=_meta(cfg))
-    write_json_report(os.path.join(cfg.paths.reports, "bench.json"),
-                      {"meta": _meta(cfg), "rows": rows_raw})
-    for row in rows:
-        print("\t".join(str(v) for v in row))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dramn",
@@ -546,10 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default="",
                    help=f"comma-separated subset of {','.join(VARIANTS)}")
     p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("bench", help="per-stage runtime benchmark")
-    common(p)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -63,7 +63,6 @@ class WindowSection:
 class DmdSection:
     rank: int = 5
     svd_rel_tol: float = 1e-10
-    delay_embedding: int = 0
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,6 @@ class EvaluateSection:
     augment_snr: tuple = (15, 25, 35)
     window_sweep: tuple = ()
     node_subsets: tuple = ()
-    bench_sizes: tuple = (13, 20)
-    bench_repetitions: int = 200
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,7 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def dmd_config(self) -> DmdConfig:
-        return DmdConfig(rank=self.dmd.rank, svd_rel_tol=self.dmd.svd_rel_tol,
-                         delay_embedding=self.dmd.delay_embedding)
+        return DmdConfig(rank=self.dmd.rank, svd_rel_tol=self.dmd.svd_rel_tol)
 
     def sequence_config(self, width_ms: int = None) -> SequenceConfig:
         return SequenceConfig(
@@ -149,13 +145,13 @@ class RunConfig:
             snr_db=self.data.snr_db,
         )
 
-    def train_config(self, seed: int = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         t = self.train
         return TrainConfig(
             lr=t.lr, weight_decay=t.weight_decay, epochs=t.epochs,
             batch_size=t.batch_size, early_stop_patience=t.early_stop_patience,
             val_fraction=t.val_fraction, test_fraction=t.test_fraction,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
 

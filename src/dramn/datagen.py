@@ -46,6 +46,10 @@ _OSC_IMAG_TOL = 1e-9
 SCAN_BLOCK = 64
 _SCAN_EXPONENT = 600.0
 
+# Spacing of the held-out generalization sequence end times (ms), before
+# the event and after the training range.
+GENERALIZATION_STRIDE_MS = 1000
+
 
 @dataclass(frozen=True)
 class GenerationMix:
@@ -535,7 +539,6 @@ class WindowProtocol:
     sample_count: int = 11
     sample_stride_ms: int = 1000
     unperturbed_range: tuple = (10000, 60000)
-    generalization_stride_ms: int = 1000
 
     def train_end_times(self, record: ScenarioRecord):
         if record.event == "unperturbed":
@@ -557,7 +560,7 @@ class WindowProtocol:
     def generalization_end_times(self, record: ScenarioRecord):
         if record.event == "unperturbed":
             return []
-        stride = self.generalization_stride_ms
+        stride = GENERALIZATION_STRIDE_MS
         first = -(-self.sequence.history_ms() // stride) * stride
         pre_last = record.event_ms - self.sequence.window_ms
         pre = list(range(first, pre_last + 1, stride))

@@ -4,10 +4,7 @@ A window of multi-channel samples is factored into spatial modes and
 discrete-time eigenvalues: two time-shifted snapshot matrices are formed,
 the first is compressed with a truncated SVD, and the eigendecomposition
 of the compressed one-step operator gives per-mode growth rates and
-oscillation frequencies. An optional delay embedding stacks lagged copies
-of every channel before the decomposition to enrich the spectral content
-of short windows; the resulting modes are folded back to the original
-channel count afterwards.
+oscillation frequencies.
 """
 
 from __future__ import annotations
@@ -81,23 +78,21 @@ class TimeSeriesWindow:
 
 @dataclass(frozen=True)
 class DmdConfig:
-    """Decomposition settings: truncation rank, singular-value cutoff, delays."""
+    """Decomposition settings: truncation rank and singular-value cutoff."""
 
     rank: int = 5
     svd_rel_tol: float = 1e-10
-    delay_embedding: int = 0
 
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if not 0.0 < self.svd_rel_tol < 1.0:
             raise ConfigError(f"svd_rel_tol must be in (0, 1), got {self.svd_rel_tol}")
-        if self.delay_embedding < 0:
-            raise ConfigError(f"delay_embedding must be >= 0, got {self.delay_embedding}")
 
     def cache_token(self) -> str:
         """Stable string identifying this configuration in cache keys."""
-        return f"r{self.rank}-tol{self.svd_rel_tol!r}-d{self.delay_embedding}"
+        # "-d0" (no delay embedding) stays so that existing cache files match.
+        return f"r{self.rank}-tol{self.svd_rel_tol!r}-d0"
 
 
 @dataclass(eq=False)
@@ -183,57 +178,13 @@ def dmd_modes(x2, v_r, s_r, w):
     return ((x2 @ v_r) / s_r) @ w
 
 
-def delay_embed(window: TimeSeriesWindow, delays: int) -> TimeSeriesWindow:
-    """Stack ``delays`` lagged copies of every channel.
-
-    The output has n*(delays+1) channels and T-delays samples; channel block
-    j holds the signal shifted back by j samples (block 0 is the most recent).
-    """
-    if delays < 0:
-        raise ConfigError(f"delays must be >= 0, got {delays}")
-    if delays == 0:
-        return window
-    t, n = window.data.shape
-    if delays >= t:
-        raise DegenerateWindowError(f"{delays} delays leave no samples from a window of {t}")
-    rows = t - delays
-    out = np.empty((rows, n * (delays + 1)), dtype=np.float64)
-    names = []
-    for j in range(delays + 1):
-        out[:, j * n:(j + 1) * n] = window.data[delays - j:t - j, :]
-        if j == 0:
-            names.extend(window.channel_names)
-        else:
-            names.extend(f"{name}_lag{j}" for name in window.channel_names)
-    return TimeSeriesWindow(
-        data=out, dt=window.dt, channel_names=tuple(names), t_start=window.t_start
-    )
-
-
-def _fold_delayed_modes(phi: np.ndarray, n: int, delays: int) -> np.ndarray:
-    """Collapse delay-embedded mode rows back to n channels.
-
-    Magnitudes of the lagged row blocks are averaged; phases are combined by
-    the circular mean of the per-block angles (angle of the resultant, with
-    zero entries contributing angle 0).
-    """
-    blocks = phi.reshape(delays + 1, n, phi.shape[1])
-    mag = np.abs(blocks).mean(axis=0)
-    ang = np.angle(blocks)
-    resultant = np.exp(1j * ang).sum(axis=0)
-    return mag * np.exp(1j * np.angle(resultant))
-
-
 def dmd(window: TimeSeriesWindow, cfg: DmdConfig) -> DmdResult:
     """Full decomposition of one window under the given configuration."""
-    work = delay_embed(window, cfg.delay_embedding) if cfg.delay_embedding else window
-    x1, x2 = build_snapshots(work)
+    x1, x2 = build_snapshots(window)
     u_r, s_r, v_r = truncated_svd(x1, cfg.rank, cfg.svd_rel_tol)
     a_tilde = reduced_operator(u_r, s_r, v_r, x2)
     w, lam = eig_small(a_tilde)
     phi = dmd_modes(x2, v_r, s_r, w)
-    if cfg.delay_embedding:
-        phi = _fold_delayed_modes(phi, window.n_channels, cfg.delay_embedding)
     if not (np.isfinite(phi).all() and np.isfinite(lam).all()):
         raise NumericalFailureError("decomposition produced non-finite modes or eigenvalues")
     return DmdResult(

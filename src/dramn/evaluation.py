@@ -1,4 +1,4 @@
-"""Metrics, noise sweeps, ablations, generalization tests, and timing.
+"""Metrics, model scoring, noise sweeps, and ablations.
 
 The positive class is "unstable" (label 1). AUROC is computed by the
 rank-sum method with midrank tie handling, which equals the probability
@@ -8,16 +8,14 @@ half).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adjacency import SequenceConfig, SequenceSample, build_adjacency
 from .datagen import inject_noise
-from .dmd import TimeSeriesWindow
 from .errors import DataError, UndefinedMetricError
-from .model import ModelDims, forward_trace_batch, init_params
+from .model import ModelDims
 from .training import TrainConfig, get_variant, stack_inputs, train
 
 
@@ -258,72 +256,3 @@ def ablation_run(dataset, variants, cfg: TrainConfig, embed_dim: int = 64,
             epochs_run=len(history),
         ))
     return entries
-
-
-def generalization_eval(params, heldout_samples, standardizer=None,
-                        variant: str = "dramn", threshold: float = 0.5) -> MetricsReport:
-    """Score sequence samples drawn from ranges never used in training."""
-    if not heldout_samples:
-        raise DataError("held-out generalization set is empty")
-    return evaluate_model(params, heldout_samples, standardizer, variant, threshold)
-
-
-@dataclass(frozen=True)
-class BenchCase:
-    """One synthetic system size for the runtime benchmark."""
-
-    n: int
-    t: int = 1000
-    l_seq: int = 5
-    f: int = 64
-    h: int = 64
-
-
-def _time_loop(fn, repetitions: int, warmup: int):
-    for _ in range(min(warmup, repetitions)):
-        fn()
-    times = np.empty(repetitions)
-    for r in range(repetitions):
-        start = time.perf_counter()
-        fn()
-        times[r] = (time.perf_counter() - start) * 1e3
-    return float(times.mean()), float(np.percentile(times, 95))
-
-
-def timing_benchmark(cases, repetitions: int = 10000, warmup: int = 5,
-                     seed: int = 0, dmd_cfg=None):
-    """Per-stage wall times: adjacency construction per window, inference per sample.
-
-    Uses a monotonic clock, excludes warm-up calls, and reports mean and
-    95th percentile in milliseconds.
-    """
-    if repetitions < 1:
-        raise DataError(f"repetitions must be >= 1, got {repetitions}")
-    from .dmd import DmdConfig
-
-    if dmd_cfg is None:
-        dmd_cfg = DmdConfig()
-    rows = []
-    for case in cases:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), case.n, case.t]))
-        data = rng.standard_normal((case.t, case.n))
-        window = TimeSeriesWindow(data=data, dt=0.001)
-        mean_ms, p95_ms = _time_loop(
-            lambda: build_adjacency(window, dmd_cfg), repetitions, warmup
-        )
-        rows.append({"stage": "adjacency", "n": case.n, "t": case.t,
-                     "mean_ms": mean_ms, "p95_ms": p95_ms})
-
-        dims = ModelDims(n=case.n, t=case.t, f=case.f, h=case.h, d=5, l_seq=case.l_seq)
-        params = init_params(dims, seed)
-        means = rng.standard_normal((1, case.l_seq, case.n))
-        tensor = build_adjacency(window, dmd_cfg).layers
-        layers = np.broadcast_to(
-            tensor, (1, case.l_seq) + tensor.shape
-        ).copy()
-        mean_ms, p95_ms = _time_loop(
-            lambda: forward_trace_batch(means, layers, params), repetitions, warmup
-        )
-        rows.append({"stage": "inference", "n": case.n, "t": case.t,
-                     "mean_ms": mean_ms, "p95_ms": p95_ms})
-    return rows

@@ -333,12 +333,17 @@ def load_checkpoint(path):
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
-    (head_len,) = struct.unpack_from("<I", blob, 4)
-    header = json.loads(blob[8:8 + head_len].decode())
+    try:
+        (head_len,) = struct.unpack_from("<I", blob, 4)
+        header = json.loads(blob[8:8 + head_len].decode())
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not an object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {header.get('version')}")
     payload = blob[8 + head_len:]
-    if zlib.crc32(payload) != header["crc32"]:
+    if zlib.crc32(payload) != header.get("crc32"):
         raise DataError(f"{path}: checkpoint payload checksum mismatch")
     dims = ModelDims(**header["dims"])
     # A checkpoint's kind is the name of the variant whose init builds its

@@ -148,9 +148,12 @@ def read_manifest(directory) -> dict:
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         raise DataError(f"missing manifest: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "manifest":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "manifest":
         raise DataError(f"{path}: not a manifest")
     return doc
 

@@ -286,14 +286,12 @@ def adamw_step(params, grads: dict, state: AdamWState, cfg: TrainConfig):
     return params, state
 
 
-def split_ids(ids, cfg: TrainConfig, seed: int = None):
+def split_ids(ids, cfg: TrainConfig):
     """Scenario-level train/val/test assignment of scenario ids.
 
     Proportions are rounded to whole scenarios; the assignment is a pure
-    function of the set of ids and the seed. Returns three sets of ids.
+    function of the set of ids and ``cfg.seed``. Returns three sets of ids.
     """
-    if seed is None:
-        seed = cfg.seed
     ids = sorted(set(ids))
     if not ids:
         raise DataError("cannot split an empty dataset")
@@ -305,7 +303,7 @@ def split_ids(ids, cfg: TrainConfig, seed: int = None):
             f"{len(ids)} scenarios cannot fill three non-empty splits at "
             f"test={cfg.test_fraction}, val={cfg.val_fraction}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5917]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x5917]))
     order = rng.permutation(len(ids))
     test_ids = {ids[k] for k in order[:n_test]}
     val_ids = {ids[k] for k in order[n_test:n_test + n_val]}
@@ -313,14 +311,14 @@ def split_ids(ids, cfg: TrainConfig, seed: int = None):
     return train_ids, val_ids, test_ids
 
 
-def split_dataset(dataset, cfg: TrainConfig, seed: int = None):
+def split_dataset(dataset, cfg: TrainConfig):
     """Scenario-level train/val/test split of samples, by `split_ids`.
 
     Every sample of one scenario lands in the same partition so overlapping
     windows cannot leak across splits; each partition keeps the dataset's
     order.
     """
-    train_ids, val_ids, test_ids = split_ids((s.scenario_id for s in dataset), cfg, seed)
+    train_ids, val_ids, test_ids = split_ids((s.scenario_id for s in dataset), cfg)
     train = [s for s in dataset if s.scenario_id in train_ids]
     val = [s for s in dataset if s.scenario_id in val_ids]
     test = [s for s in dataset if s.scenario_id in test_ids]

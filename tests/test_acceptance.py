@@ -40,7 +40,6 @@ from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
 from dramn.evaluation import (
     ablation_run,
     evaluate_model,
-    generalization_eval,
     make_noise_augmented,
     noise_sweep,
 )
@@ -428,7 +427,7 @@ def test_generalization_band(dataset, trained):
         record = dataset["records"][sid]
         out = window_dataset(record, proto, include_generalization=True)
         heldout.extend(out.generalization)
-    report = generalization_eval(result.params, heldout, result.standardizer)
+    report = evaluate_model(result.params, heldout, result.standardizer)
     assert report.n_samples > 0
     assert report.accuracy >= trained["metrics"].accuracy - 0.15
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 
 import pytest
 
@@ -18,6 +19,7 @@ from dramn.datagen import (
 )
 from dramn.dmd import DmdConfig
 from dramn.store import (
+    MANIFEST_NAME,
     ScenarioTensorCache,
     load_scenario,
     manifest_entry,
@@ -45,15 +47,14 @@ def demo_config(tmp_path, **overrides):
         },
         "window": {"width_ms": 200, "stride_ms": 100, "l_seq": 3,
                    "sample_count": 11, "sample_stride_ms": 1000},
-        "dmd": {"rank": 4, "svd_rel_tol": 1e-10, "delay_embedding": 0},
+        "dmd": {"rank": 4, "svd_rel_tol": 1e-10},
         "model": {"embed_dim": 8, "hidden_dim": 8},
         "train": {"lr": 1e-3, "weight_decay": 1e-2, "epochs": 4,
                   "batch_size": 32, "early_stop_patience": 4,
                   "val_fraction": 0.15, "test_fraction": 0.25},
         "evaluate": {"threshold": 0.5, "snr_list": [35, 85],
                      "augment_snr": [35], "window_sweep": [200],
-                     "node_subsets": [2], "bench_sizes": [4],
-                     "bench_repetitions": 3},
+                     "node_subsets": [2]},
     }
     for key, value in overrides.items():
         cfg[key].update(value) if isinstance(value, dict) else cfg.update({key: value})
@@ -238,14 +239,6 @@ class TestSelect:
         assert main(["select", "--config", cfg_path, "--k", "50"]) == 3
 
 
-class TestBench:
-    def test_report(self, pipeline):
-        tmp_path, cfg_path = pipeline
-        assert main(["bench", "--config", cfg_path]) == 0
-        rows = (tmp_path / "reports" / "bench.tsv").read_text().splitlines()
-        assert rows[-1].split("\t")[0] in ("adjacency", "inference")
-
-
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -258,6 +251,42 @@ class TestExitCodes:
     def test_missing_manifest(self, tmp_path):
         cfg_path = demo_config(tmp_path)
         assert main(["train", "--config", cfg_path]) == 3
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["bad-json", "not-object"])
+    def test_corrupt_manifest(self, tmp_path, text):
+        cfg_path = demo_config(tmp_path)
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / MANIFEST_NAME).write_text(text)
+        assert main(["train", "--config", cfg_path]) == 3
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:6],                          # no header length
+        lambda blob: blob[:40],                         # header cut short
+        lambda blob: blob[:8] + b"\xff" * 8 + blob[16:],  # header not UTF-8
+        lambda blob: blob[:4] + struct.pack("<I", 2) + b"[]",
+        lambda blob: blob[:4] + struct.pack("<I", 14) + b'{"version": 1}',
+    ], ids=["six-bytes", "cut-header", "garbled-header", "not-object", "no-checksum"])
+    def test_corrupt_checkpoint(self, pipeline, tmp_path, corrupt):
+        src, _ = pipeline
+        cfg_path = demo_config(tmp_path)
+        (tmp_path / "ckpt").mkdir()
+        blob = (src / "ckpt" / "model.ckpt").read_bytes()
+        (tmp_path / "ckpt" / "model.ckpt").write_bytes(corrupt(blob))
+        assert main(["evaluate", "--config", cfg_path]) == 3
+
+    @pytest.mark.parametrize("text", [
+        "{\"mean\": [0.0",
+        "{}",
+        "{\"mean\": [0.0], \"std\": [1.0]}",   # would broadcast over every channel
+    ], ids=["cut-json", "missing-keys", "one-channel"])
+    def test_corrupt_standardizer(self, pipeline, tmp_path, text):
+        src, _ = pipeline
+        cfg_path = demo_config(tmp_path)
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "model.ckpt").write_bytes(
+            (src / "ckpt" / "model.ckpt").read_bytes())
+        (tmp_path / "ckpt" / "standardizer.json").write_text(text)
+        assert main(["evaluate", "--config", cfg_path]) == 3
 
 
 class TestDeterminism:

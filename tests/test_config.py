@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dramn.adjacency import SequenceConfig
 from dramn.config import RunConfig, config_from_dict, load_config
 from dramn.errors import ConfigError
 
@@ -100,7 +101,13 @@ class TestDomainBuilders:
     def test_train_config_seed_flow(self):
         cfg = config_from_dict({"seed": 77})
         assert cfg.train_config().seed == 77
-        assert cfg.train_config(seed=3).seed == 3
+
+    def test_cache_tokens_pinned(self):
+        # every adjacency cache file is keyed by these strings: a change
+        # here invalidates all existing caches
+        assert SequenceConfig().cache_token() == "L5-w1000-s100-c1-r5-tol1e-10-d0"
+        demo = load_config("demo").window_protocol().sequence
+        assert demo.cache_token() == "L3-w200-s100-c1-r5-tol1e-10-d0"
 
     def test_json_round_trip(self, tmp_path):
         cfg = config_from_dict({"seed": 5, "data": {"ternary_step": 10}})

@@ -5,7 +5,6 @@ from dramn.dmd import (
     DmdConfig,
     TimeSeriesWindow,
     build_snapshots,
-    delay_embed,
     dmd,
     dmd_modes,
     eig_small,
@@ -259,37 +258,6 @@ class TestDmdModes:
         np.testing.assert_allclose(dmd_modes(x2, v, s, w), want, atol=1e-12)
 
 
-class TestDelayEmbed:
-    def test_single_shift(self):
-        out = delay_embed(window_from([[1.0], [2.0], [3.0]]), 1)
-        assert out.n_channels == 2 and out.n_samples == 2
-        # block 0 most recent, block 1 lagged
-        np.testing.assert_array_equal(out.data.T, [[2.0, 3.0], [1.0, 2.0]])
-        assert out.channel_names == ("ch0", "ch0_lag1")
-
-    def test_zero_delays_is_identity(self):
-        w = window_from([[1.0], [2.0], [3.0]])
-        assert delay_embed(w, 0) is w
-
-    def test_hankel_block(self):
-        sig = np.arange(5.0)
-        out = delay_embed(window_from(sig[:, None]), 2)
-        hankel = np.array([[2.0, 3.0, 4.0], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0]])
-        np.testing.assert_array_equal(out.data.T, hankel)
-
-    def test_too_many_delays(self):
-        with pytest.raises(DegenerateWindowError):
-            delay_embed(window_from([[1.0], [2.0], [3.0]]), 3)
-
-    def test_delay_dmd_recovers_scalar_oscillation(self):
-        # a single channel cannot expose a complex pair without delays
-        t = np.arange(60)
-        sig = (0.95 ** t) * np.cos(0.5 * t)
-        res = dmd(window_from(sig[:, None]), DmdConfig(rank=2, delay_embedding=4))
-        assert res.modes.shape[0] == 1
-        np.testing.assert_allclose(np.abs(res.eigenvalues), [0.95, 0.95], atol=1e-6)
-
-
 class TestDmdPipeline:
     def test_lti_recovery(self):
         rng = np.random.default_rng(12)
@@ -353,10 +321,9 @@ class TestDmdPipeline:
         rel = np.linalg.norm(x2 - pred.real) / np.linalg.norm(x2)
         assert rel <= 1e-6
 
-    def test_r_eff_bound_with_delays(self):
+    def test_r_eff_bound(self):
         rng = np.random.default_rng(40)
         data = rng.standard_normal((30, 2))
-        for delays in (0, 1, 3):
-            res = dmd(window_from(data), DmdConfig(rank=10, delay_embedding=delays))
-            assert res.r_eff <= min(10, 2 * (delays + 1), 30 - delays - 1)
-            assert res.modes.shape[0] == 2
+        res = dmd(window_from(data), DmdConfig(rank=10))
+        assert res.r_eff <= min(10, 2, 30 - 1)
+        assert res.modes.shape[0] == 2

@@ -7,12 +7,10 @@ from dramn.adjacency import AdjacencyTensor, SequenceSample
 from dramn.dmd import TimeSeriesWindow
 from dramn.errors import ConfigError, DataError, UndefinedMetricError
 from dramn.evaluation import (
-    BenchCase,
     auroc,
     confusion_metrics,
     evaluate_scores,
     predict_proba,
-    timing_benchmark,
 )
 from dramn.model import ModelDims, init_params
 from dramn.training import VARIANTS
@@ -159,33 +157,3 @@ class TestPredictProba:
         samples = random_samples(np.random.default_rng(5), n=4, l_seq=3)
         with pytest.raises(ConfigError):
             predict_proba(init_params(dims, 5), samples, variant="transformer")
-
-
-class TestTimingBenchmark:
-    def test_sizes_and_format(self):
-        rows = timing_benchmark([BenchCase(n=6, t=120, l_seq=2, f=8, h=8),
-                                 BenchCase(n=12, t=120, l_seq=2, f=8, h=8)],
-                                repetitions=5, warmup=1, seed=0)
-        stages = {(r["stage"], r["n"]) for r in rows}
-        assert stages == {("adjacency", 6), ("inference", 6),
-                          ("adjacency", 12), ("inference", 12)}
-        for r in rows:
-            assert r["mean_ms"] > 0
-            assert r["p95_ms"] >= 0
-
-    def test_adjacency_time_grows_with_channels(self):
-        rows = timing_benchmark([BenchCase(n=4, t=400, l_seq=2, f=8, h=8),
-                                 BenchCase(n=40, t=400, l_seq=2, f=8, h=8)],
-                                repetitions=15, warmup=3, seed=1)
-        adj = {r["n"]: r["mean_ms"] for r in rows if r["stage"] == "adjacency"}
-        assert adj[40] > adj[4]
-
-    def test_single_repetition_p95_equals_mean(self):
-        rows = timing_benchmark([BenchCase(n=5, t=100, l_seq=2, f=8, h=8)],
-                                repetitions=1, warmup=0, seed=2)
-        for r in rows:
-            assert r["p95_ms"] == pytest.approx(r["mean_ms"])
-
-    def test_rejects_zero_repetitions(self):
-        with pytest.raises(DataError):
-            timing_benchmark([BenchCase(n=4)], repetitions=0)
