@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +37,6 @@ from .evaluation import (
     noise_sweep,
     predict_proba,
 )
-from .model import load_checkpoint, save_checkpoint
 from .selection import (
     aggregate_edges,
     build_report,
@@ -50,24 +48,19 @@ from .selection import (
 from .store import (
     ScenarioTensorCache,
     class_balance,
+    load_checkpoint,
     load_scenario,
     manifest_entry,
     read_manifest,
     read_scenario_header,
     scenario_filename,
+    save_checkpoint,
     save_scenario,
     write_json_report,
     write_manifest,
     write_table,
 )
-from .training import (
-    VARIANTS,
-    Standardizer,
-    split_dataset,
-    split_ids,
-    train,
-    write_history,
-)
+from .training import VARIANTS, split_dataset, split_ids, train
 
 METRIC_COLUMNS = ("accuracy", "precision", "recall", "f1", "specificity", "auroc")
 
@@ -153,33 +146,16 @@ def _checkpoint_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.paths.checkpoints, "model.ckpt")
 
 
-def _standardizer_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.paths.checkpoints, "standardizer.json")
-
-
 def _load_model(cfg: RunConfig):
     path = _checkpoint_path(cfg)
     if not os.path.exists(path):
         raise DataError(f"missing checkpoint {path}; run the train command first")
-    params, header = load_checkpoint(path)
+    params, std, header = load_checkpoint(path)
     if header.get("seed") != cfg.seed:
         # the seed fixes the split: another seed would score training
         # scenarios as test
         raise DataError(f"checkpoint {path} was trained with seed {header.get('seed')}, "
                         f"but this run uses seed {cfg.seed}")
-    spath = _standardizer_path(cfg)
-    if not os.path.exists(spath):
-        raise DataError(f"missing standardizer {spath}; run the train command first")
-    try:
-        with open(spath, "r", encoding="utf-8") as fh:
-            std = Standardizer.from_dict(json.load(fh))
-    except (ValueError, KeyError, TypeError) as exc:
-        # bad UTF-8 or JSON (both ValueErrors), or missing or mistyped keys
-        raise DataError(f"{spath}: unreadable standardizer: {exc!r}") from exc
-    n = params.dims.n
-    if std.mean.shape != (n,) or std.std.shape != (n,):
-        raise DataError(f"{spath}: standardizer of shapes {std.mean.shape}/"
-                        f"{std.std.shape} for a model of {n} channels")
     return params, std, header
 
 
@@ -239,13 +215,16 @@ def cmd_train(cfg: RunConfig, args) -> int:
     result = train(samples, cfg.train_config(),
                    embed_dim=cfg.model.embed_dim, hidden_dim=cfg.model.hidden_dim)
     _ensure_dirs(cfg.paths.checkpoints)
-    save_checkpoint(result.params, _checkpoint_path(cfg), seed=cfg.seed,
-                    meta=_meta(cfg))
-    with open(_standardizer_path(cfg), "w", encoding="utf-8") as fh:
-        json.dump(result.standardizer.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
-    write_history(result.history, os.path.join(cfg.paths.checkpoints, "history.tsv"),
-                  meta=_meta(cfg), zero_wall=args.deterministic)
+    save_checkpoint(result.params, result.standardizer, _checkpoint_path(cfg),
+                    seed=cfg.seed, meta=_meta(cfg))
+    # --deterministic zeroes the wall-clock column so reruns are byte-identical
+    history = [
+        (st.epoch, st.train_loss, st.val_loss,
+         f"{0.0 if args.deterministic else st.wall_ms:.3f}")
+        for st in result.history
+    ]
+    write_table(os.path.join(cfg.paths.checkpoints, "history.tsv"),
+                ("epoch", "train_loss", "val_loss", "wall_ms"), history, meta=_meta(cfg))
     best = min(h.val_loss for h in result.history)
     print(f"trained {len(result.history)} epochs, best validation loss {best:.6f}")
     print(f"checkpoint: {_checkpoint_path(cfg)}")
@@ -499,10 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--deterministic", action="store_true",
                        help="sequential execution and reproducible artifacts")
-        p.add_argument("--skip-existing", action="store_true", dest="skip_existing")
 
     p = sub.add_parser("generate", help="synthesize the scenario store")
     common(p)
+    p.add_argument("--skip-existing", action="store_true", dest="skip_existing",
+                   help="keep scenario files that already exist and read intact")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("train", help="window, cache adjacency, train, checkpoint")

@@ -14,17 +14,11 @@ per-window channel means instead of full windows.
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalFailureError
-
-CHECKPOINT_MAGIC = b"DRMC"
-CHECKPOINT_VERSION = 1
 
 # Flattened storage order of every trainable array; also the checkpoint layout.
 PARAM_ORDER = (
@@ -297,72 +291,3 @@ def gcn_forward_trace_batch(means: np.ndarray, layers: np.ndarray, params: GcnPa
         "last": last, "pooled": pooled, "xhat": xhat, "geff": geff,
         "g_layers": layers[:, -1], "xt": xt, "z": z, "score": score, "p": p,
     }
-
-
-def save_checkpoint(params, path, seed: int = 0, meta: dict = None) -> None:
-    """Write a bit-exact checkpoint: JSON header + flat float64 LE arrays + CRC.
-
-    Arrays follow the family's ORDER (PARAM_ORDER, or GCN_PARAM_ORDER for the
-    baseline); the header records dims, seed, the format version, and the
-    family's KIND.
-    """
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in params.tree().values()
-    )
-    header = {
-        "format": "checkpoint",
-        "version": CHECKPOINT_VERSION,
-        "kind": params.KIND,
-        "dims": params.dims.as_dict(),
-        "seed": int(seed),
-        "crc32": zlib.crc32(payload),
-    }
-    if meta:
-        header["meta"] = meta
-    head_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(head_bytes)))
-        fh.write(head_bytes)
-        fh.write(payload)
-
-
-def load_checkpoint(path):
-    """Read a checkpoint; returns (params, header dict)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
-    try:
-        (head_len,) = struct.unpack_from("<I", blob, 4)
-        header = json.loads(blob[8:8 + head_len].decode())
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: checkpoint header is not an object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    payload = blob[8 + head_len:]
-    if zlib.crc32(payload) != header.get("crc32"):
-        raise DataError(f"{path}: checkpoint payload checksum mismatch")
-    dims = ModelDims(**header["dims"])
-    # A checkpoint's kind is the name of the variant whose init builds its
-    # family. Imported here because training imports this module.
-    from .training import VARIANTS
-
-    kind = header.get("kind", "dramn")
-    if kind not in VARIANTS:
-        raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
-    template = VARIANTS[kind].init(dims, 0)
-    arrays = {}
-    offset = 0
-    for name, arr in template.tree().items():
-        arrays[name] = (
-            np.frombuffer(payload, dtype="<f8", count=arr.size, offset=offset)
-            .reshape(arr.shape)
-            .astype(np.float64)
-        )
-        offset += arr.size * 8
-    if offset != len(payload):
-        raise DataError(f"{path}: checkpoint payload length mismatch")
-    return type(template)(dims=dims, **arrays), header

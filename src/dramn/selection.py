@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .store import write_table
 
 
 @dataclass(eq=False)
@@ -113,19 +114,15 @@ def write_strength_report(report: NodeStrengthReport, path, meta: dict = None) -
     n = report.composite.size
     names = report.channel_names or tuple(str(i) for i in range(n))
     rank_of = {ch: r for r, ch in enumerate(report.ranking)}
-    lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
-    lines.append("# time_range_ms=%d..%d" % report.time_range)
-    header = ["channel"] + [f"layer{l + 1}" for l in range(report.per_layer.shape[0])]
-    header += ["composite", "rank"]
-    lines.append("\t".join(header))
-    for i in range(n):
-        row = [names[i]]
-        row += [repr(float(v)) for v in report.per_layer[:, i]]
-        row.append(repr(float(report.composite[i])))
-        row.append(str(rank_of[i]))
-        lines.append("\t".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = ["channel"] + [f"layer{l + 1}" for l in range(report.per_layer.shape[0])]
+    columns += ["composite", "rank"]
+    rows = [
+        [names[i], *(float(v) for v in report.per_layer[:, i]),
+         float(report.composite[i]), rank_of[i]]
+        for i in range(n)
+    ]
+    meta = {**(meta or {}), "time_range_ms": "%d..%d" % report.time_range}
+    write_table(path, columns, rows, meta=meta)
 
 
 def write_edge_list(agg: np.ndarray, path, channel_names=(), top_fraction: float = 0.5,
@@ -138,10 +135,6 @@ def write_edge_list(agg: np.ndarray, path, channel_names=(), top_fraction: float
     edges = [(agg[i, j], i, j) for i in range(n) for j in range(i + 1, n)]
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
     keep = max(1, int(round(len(edges) * top_fraction)))
-    lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
-    lines.append(f"# top_fraction={top_fraction}")
-    lines.append("source\ttarget\tweight")
-    for weight, i, j in edges[:keep]:
-        lines.append(f"{names[i]}\t{names[j]}\t{float(weight)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [(names[i], names[j], float(weight)) for weight, i, j in edges[:keep]]
+    write_table(path, ("source", "target", "weight"), rows,
+                meta={**(meta or {}), "top_fraction": top_fraction})

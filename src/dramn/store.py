@@ -1,13 +1,17 @@
-"""On-disk formats: scenario store, manifest, adjacency cache, report files.
+"""On-disk formats: scenario store, manifest, adjacency cache, checkpoints,
+report files.
 
 Every binary artifact carries a one-line JSON header followed by raw
 little-endian float64 payload, with a CRC32 over the payload so corruption
-is detected on load. All writers are deterministic: given identical inputs
-they produce byte-identical files.
+is detected on load. Every file is written to a temporary file beside its
+target and renamed into place, so a killed or failing process leaves either
+the previous file or the new one, never a truncated one. All writers are
+deterministic: given identical inputs they produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -17,18 +21,41 @@ import numpy as np
 
 from .adjacency import tensor_from_bytes, tensor_to_bytes
 from .datagen import GenerationMix, ScenarioRecord
-from .errors import DataError
+from .errors import ConfigError, DataError
+from .model import ModelDims
+from .training import VARIANTS, Standardizer
 
 MANIFEST_NAME = "manifest.json"
+CHECKPOINT_VERSION = 2
+# leading bytes of the retired version 1 checkpoint framing
+_V1_CHECKPOINT_MAGIC = b"DRMC"
+
+
+def _write_atomic(path, *chunks) -> None:
+    """Write ``chunks`` (bytes-like) to a temporary file beside ``path``,
+    then rename it over ``path``.
+
+    On any exception the temporary file is removed and an earlier ``path``
+    is left as it was. There is no fsync: this guards against killed or
+    failing processes, not against power loss.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_header_and_payload(path, header: dict, payload) -> None:
     """Write the header line, then ``payload`` (any C-contiguous buffer)."""
     header = dict(header)
     header["crc32"] = zlib.crc32(payload)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(payload)
+    _write_atomic(path, json.dumps(header, sort_keys=True).encode() + b"\n", payload)
 
 
 def _read_header_and_payload(path):
@@ -36,6 +63,9 @@ def _read_header_and_payload(path):
     shares the file's buffer instead of copying it."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if blob.startswith(_V1_CHECKPOINT_MAGIC):
+        raise DataError(f"{path}: version 1 checkpoint, which is no longer read; "
+                        f"retrain with the train command")
     nl = blob.find(b"\n")
     if nl < 0:
         raise DataError(f"{path}: missing header line")
@@ -43,10 +73,25 @@ def _read_header_and_payload(path):
         header = json.loads(blob[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not an object")
     payload = memoryview(blob)[nl + 1:]
     if zlib.crc32(payload) != header.get("crc32"):
         raise DataError(f"{path}: payload checksum mismatch")
     return header, payload
+
+
+@contextlib.contextmanager
+def _header_fields(path):
+    """Turn a missing, mistyped or out-of-range header field into DataError.
+
+    ConfigError is caught too: a stored generation mix is validated by the
+    same constructor as a configured one, but here the file is at fault.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed header: {exc!r}") from exc
 
 
 def scenario_filename(scenario_id: str) -> str:
@@ -86,47 +131,49 @@ def read_scenario_header(path) -> dict:
     header, _ = _read_header_and_payload(path)
     if header.get("format") != "scenario":
         raise DataError(f"{path}: not a scenario file")
-    return {
-        "id": header["id"],
-        "file": os.path.basename(path),
-        "event": header["event"],
-        "mix": header["mix"],
-        "label": header["label"],
-        "diverged": header["diverged"],
-    }
+    with _header_fields(path):
+        return {
+            "id": header["id"],
+            "file": os.path.basename(path),
+            "event": header["event"],
+            "mix": header["mix"],
+            "label": header["label"],
+            "diverged": header["diverged"],
+        }
 
 
 def load_scenario(path) -> ScenarioRecord:
     header, payload = _read_header_and_payload(path)
     if header.get("format") != "scenario":
         raise DataError(f"{path}: not a scenario file")
-    n_samples = header["n_samples"]
-    n_channels = len(header["channels"])
-    expected = n_samples * n_channels * 8
-    if len(payload) != expected:
-        raise DataError(f"{path}: trajectory payload is {len(payload)} bytes, "
-                        f"expected {expected}")
-    # astype copies: the record owns its trajectory, and the file buffer
-    # goes when this returns
-    trajectory = (
-        np.frombuffer(payload, dtype="<f8")
-        .reshape(n_samples, n_channels)
-        .astype(np.float64)
-    )
-    spectrum = np.array([complex(re, im) for re, im in header["spectrum"]])
-    return ScenarioRecord(
-        mix=GenerationMix(*header["mix"]),
-        event=header["event"],
-        seed=header["seed"],
-        trajectory=trajectory,
-        dt=header["dt"],
-        event_ms=header["event_ms"],
-        channel_names=tuple(header["channels"]),
-        channel_offsets=np.array(header["offsets"], dtype=np.float64),
-        generator_spectrum=spectrum,
-        label=header["label"],
-        diverged=header["diverged"],
-    )
+    with _header_fields(path):
+        n_samples = header["n_samples"]
+        n_channels = len(header["channels"])
+        expected = n_samples * n_channels * 8
+        if len(payload) != expected:
+            raise DataError(f"{path}: trajectory payload is {len(payload)} bytes, "
+                            f"expected {expected}")
+        # astype copies: the record owns its trajectory, and the file buffer
+        # goes when this returns
+        trajectory = (
+            np.frombuffer(payload, dtype="<f8")
+            .reshape(n_samples, n_channels)
+            .astype(np.float64)
+        )
+        spectrum = np.array([complex(re, im) for re, im in header["spectrum"]])
+        return ScenarioRecord(
+            mix=GenerationMix(*header["mix"]),
+            event=header["event"],
+            seed=header["seed"],
+            trajectory=trajectory,
+            dt=header["dt"],
+            event_ms=header["event_ms"],
+            channel_names=tuple(header["channels"]),
+            channel_offsets=np.array(header["offsets"], dtype=np.float64),
+            generator_spectrum=spectrum,
+            label=header["label"],
+            diverged=header["diverged"],
+        )
 
 
 def write_manifest(directory, entries, meta: dict = None) -> str:
@@ -138,9 +185,7 @@ def write_manifest(directory, entries, meta: dict = None) -> str:
         "scenarios": sorted(entries, key=lambda e: e["id"]),
     }
     path = os.path.join(directory, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_atomic(path, (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
     return path
 
 
@@ -214,9 +259,10 @@ class ScenarioTensorCache:
                 return
             offset = 0
             entries = {}
-            for _ in range(header["count"]):
-                tensor, offset = tensor_from_bytes(payload, offset)
-                entries[tensor.source_window] = tensor
+            with _header_fields(self.path):
+                for _ in range(header["count"]):
+                    tensor, offset = tensor_from_bytes(payload, offset)
+                    entries[tensor.source_window] = tensor
             self.entries = entries
         except DataError:
             self.entries = {}
@@ -254,20 +300,78 @@ class ScenarioTensorCache:
         self._dirty = False
 
 
+def save_checkpoint(params, standardizer: Standardizer, path, seed: int = 0,
+                    meta: dict = None) -> None:
+    """Write a trained model as one bit-exact file.
+
+    The payload is the family's arrays in its ORDER (PARAM_ORDER, or
+    GCN_PARAM_ORDER for the baseline), then the standardizer's mean and std,
+    n float64 each. The header records dims, seed, the format version, and
+    the family's KIND.
+    """
+    n = params.dims.n
+    if standardizer.mean.shape != (n,) or standardizer.std.shape != (n,):
+        raise DataError(f"standardizer of shapes {standardizer.mean.shape}/"
+                        f"{standardizer.std.shape} for a model of {n} channels")
+    arrays = [*params.tree().values(), standardizer.mean, standardizer.std]
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    header = {
+        "format": "checkpoint",
+        "version": CHECKPOINT_VERSION,
+        "kind": params.KIND,
+        "dims": params.dims.as_dict(),
+        "seed": int(seed),
+    }
+    if meta:
+        header["meta"] = meta
+    _write_header_and_payload(path, header, payload)
+
+
+def load_checkpoint(path):
+    """Read a checkpoint; returns (params, standardizer, header dict)."""
+    header, payload = _read_header_and_payload(path)
+    if header.get("format") != "checkpoint":
+        raise DataError(f"{path}: not a checkpoint file")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version "
+                        f"{header.get('version')!r}; retrain with the train command")
+    with _header_fields(path):
+        dims = ModelDims(**header["dims"])
+        # a checkpoint's kind is the name of the variant whose init builds
+        # its family
+        kind = header["kind"]
+        if kind not in VARIANTS:
+            raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
+    template = VARIANTS[kind].init(dims, 0)
+    slots = {**template.tree(), "mean": np.empty(dims.n), "std": np.empty(dims.n)}
+    expected = 8 * sum(a.size for a in slots.values())
+    if len(payload) != expected:
+        raise DataError(f"{path}: checkpoint payload is {len(payload)} bytes, "
+                        f"expected {expected} for dims {dims.as_dict()}")
+    arrays = {}
+    offset = 0
+    for name, arr in slots.items():
+        arrays[name] = (
+            np.frombuffer(payload, dtype="<f8", count=arr.size, offset=offset)
+            .reshape(arr.shape)
+            .astype(np.float64)
+        )
+        offset += arr.size * 8
+    standardizer = Standardizer(mean=arrays.pop("mean"), std=arrays.pop("std"))
+    return type(template)(dims=dims, **arrays), standardizer, header
+
+
 def write_table(path, columns, rows, meta: dict = None) -> None:
     """Tab-separated table with '# key=value' metadata lines."""
     lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
     lines.append("\t".join(columns))
     for row in rows:
         lines.append("\t".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_json_report(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_atomic(path, (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode())
 
 
 def _fmt(value) -> str:

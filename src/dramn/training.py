@@ -54,13 +54,16 @@ class TrainConfig:
             raise ConfigError("early_stop_patience must be >= 0")
 
 
+# Lower bound on a channel's std, so a constant channel standardizes to zero.
+STD_FLOOR = 1e-9
+
+
 @dataclass(eq=False)
 class Standardizer:
     """Per-channel z-score transform fitted on training data only."""
 
     mean: np.ndarray
     std: np.ndarray
-    std_floor: float = 1e-9
 
     @classmethod
     def fit_windows(cls, windows) -> "Standardizer":
@@ -84,21 +87,11 @@ class Standardizer:
         return cls(mean=mean, std=np.sqrt(var))
 
     def _safe_std(self) -> np.ndarray:
-        return np.maximum(self.std, self.std_floor)
+        return np.maximum(self.std, STD_FLOOR)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Standardize along the trailing channel axis."""
         return (x - self.mean) / self._safe_std()
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist(),
-                "std_floor": self.std_floor}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Standardizer":
-        return cls(mean=np.array(obj["mean"], dtype=np.float64),
-                   std=np.array(obj["std"], dtype=np.float64),
-                   std_floor=float(obj.get("std_floor", 1e-9)))
 
 
 def mae_batch(p: np.ndarray, y: np.ndarray) -> float:
@@ -477,16 +470,3 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
         train_samples=train_s, val_samples=val_s, test_samples=test_s,
         dims=dims, variant=variant,
     )
-
-
-def write_history(history, path, meta: dict = None, zero_wall: bool = False) -> None:
-    """Emit per-epoch losses as tab-separated text with comment metadata."""
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append("epoch\ttrain_loss\tval_loss\twall_ms")
-    for st in history:
-        wall = 0.0 if zero_wall else st.wall_ms
-        lines.append(f"{st.epoch}\t{st.train_loss!r}\t{st.val_loss!r}\t{wall:.3f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

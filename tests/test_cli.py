@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import struct
+import zlib
 
 import pytest
 
@@ -102,7 +103,8 @@ class TestTrain:
     def test_artifacts_exist(self, pipeline):
         tmp_path, _ = pipeline
         assert (tmp_path / "ckpt" / "model.ckpt").exists()
-        assert (tmp_path / "ckpt" / "standardizer.json").exists()
+        # the standardizer travels inside the checkpoint
+        assert not (tmp_path / "ckpt" / "standardizer.json").exists()
         history = (tmp_path / "ckpt" / "history.tsv").read_text().splitlines()
         assert any(line.startswith("epoch") for line in history)
 
@@ -259,34 +261,44 @@ class TestExitCodes:
         (tmp_path / "scenarios" / MANIFEST_NAME).write_text(text)
         assert main(["train", "--config", cfg_path]) == 3
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda blob: blob[:6],                          # no header length
-        lambda blob: blob[:40],                         # header cut short
-        lambda blob: blob[:8] + b"\xff" * 8 + blob[16:],  # header not UTF-8
-        lambda blob: blob[:4] + struct.pack("<I", 2) + b"[]",
-        lambda blob: blob[:4] + struct.pack("<I", 14) + b'{"version": 1}',
-    ], ids=["six-bytes", "cut-header", "garbled-header", "not-object", "no-checksum"])
-    def test_corrupt_checkpoint(self, pipeline, tmp_path, corrupt):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda blob: blob[:6], "missing header line"),
+        (lambda blob: blob[:40], "missing header line"),
+        (lambda blob: blob[:8] + b"\xff" * 8 + blob[16:], "unreadable header"),
+        (lambda blob: reframed(blob, lambda h, p: (b"[]", p)), "not an object"),
+        (lambda blob: reframed(blob, lambda h, p: (b'{"version": 2}', p)),
+         "checksum mismatch"),
+        # the retired version 1 framing: magic, header length, header, payload
+        (lambda blob: reframed(blob, lambda h, p: (
+            b"DRMC" + struct.pack("<I", len(h)) + h, p), newline=b""), "retrain"),
+        # the standardizer's std loses a channel; the checksum still holds
+        (lambda blob: reframed(blob, lambda h, p: (with_crc(h, p[:-8]), p[:-8])),
+         "payload is"),
+    ], ids=["six-bytes", "cut-header", "garbled-header", "not-object", "no-checksum",
+            "v1-framing", "length-mismatch"])
+    def test_corrupt_checkpoint(self, pipeline, tmp_path, capsys, corrupt, message):
         src, _ = pipeline
         cfg_path = demo_config(tmp_path)
         (tmp_path / "ckpt").mkdir()
         blob = (src / "ckpt" / "model.ckpt").read_bytes()
         (tmp_path / "ckpt" / "model.ckpt").write_bytes(corrupt(blob))
+        capsys.readouterr()
         assert main(["evaluate", "--config", cfg_path]) == 3
+        assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "{\"mean\": [0.0",
-        "{}",
-        "{\"mean\": [0.0], \"std\": [1.0]}",   # would broadcast over every channel
-    ], ids=["cut-json", "missing-keys", "one-channel"])
-    def test_corrupt_standardizer(self, pipeline, tmp_path, text):
-        src, _ = pipeline
-        cfg_path = demo_config(tmp_path)
-        (tmp_path / "ckpt").mkdir()
-        (tmp_path / "ckpt" / "model.ckpt").write_bytes(
-            (src / "ckpt" / "model.ckpt").read_bytes())
-        (tmp_path / "ckpt" / "standardizer.json").write_text(text)
-        assert main(["evaluate", "--config", cfg_path]) == 3
+
+def reframed(blob, edit, newline=b"\n"):
+    """Rebuild a checkpoint from ``edit(header_bytes, payload)``."""
+    nl = blob.index(b"\n")
+    head, payload = edit(blob[:nl], blob[nl + 1:])
+    return head + newline + payload
+
+
+def with_crc(head, payload):
+    """``head`` with its checksum recomputed over ``payload``."""
+    header = json.loads(head)
+    header["crc32"] = zlib.crc32(payload)
+    return json.dumps(header).encode()
 
 
 class TestDeterminism:

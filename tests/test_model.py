@@ -14,10 +14,9 @@ from dramn.model import (
     gcn_forward_trace_batch,
     init_gcn_params,
     init_params,
-    load_checkpoint,
-    save_checkpoint,
 )
-from dramn.training import stack_inputs
+from dramn.store import load_checkpoint, save_checkpoint
+from dramn.training import Standardizer, stack_inputs
 
 DIMS = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=3)
 
@@ -266,39 +265,59 @@ class TestInitParams:
         np.testing.assert_allclose(params.alpha, 1.0 / DIMS.d)
 
 
+def standardizer_of(seed, n=DIMS.n):
+    rng = np.random.default_rng(seed)
+    return Standardizer(mean=rng.standard_normal(n), std=rng.random(n) + 0.1)
+
+
+def assert_standardizer_bit_equal(back, std):
+    assert back.mean.tobytes() == std.mean.tobytes()
+    assert back.std.tobytes() == std.std.tobytes()
+    x = np.random.default_rng(0).standard_normal((10, std.mean.size))
+    assert back.transform(x).tobytes() == std.transform(x).tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        params = init_params(DIMS, 21)
+        params, std = init_params(DIMS, 21), standardizer_of(21)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path, seed=21, meta={"config_hash": "abc"})
-        back, header = load_checkpoint(path)
+        save_checkpoint(params, std, path, seed=21, meta={"config_hash": "abc"})
+        back, back_std, header = load_checkpoint(path)
         assert header["seed"] == 21
         assert header["meta"]["config_hash"] == "abc"
         assert back.dims == params.dims
         for name in PARAM_ORDER:
             got, want = getattr(back, name), getattr(params, name)
             assert got.tobytes() == want.tobytes()
+        assert_standardizer_bit_equal(back_std, std)
 
     def test_gcn_round_trip(self, tmp_path):
-        params = init_gcn_params(DIMS, 22)
+        params, std = init_gcn_params(DIMS, 22), standardizer_of(22)
         path = tmp_path / "gcn.ckpt"
-        save_checkpoint(params, path, seed=22)
-        back, header = load_checkpoint(path)
+        save_checkpoint(params, std, path, seed=22)
+        back, back_std, header = load_checkpoint(path)
         assert header["kind"] == "gcn"
         for name in GCN_PARAM_ORDER:
             assert getattr(back, name).tobytes() == getattr(params, name).tobytes()
+        assert_standardizer_bit_equal(back_std, std)
 
     def test_save_is_deterministic(self, tmp_path):
-        params = init_params(DIMS, 23)
+        params, std = init_params(DIMS, 23), standardizer_of(23)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(params, p1, seed=23)
-        save_checkpoint(params, p2, seed=23)
+        save_checkpoint(params, std, p1, seed=23)
+        save_checkpoint(params, std, p2, seed=23)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_mismatched_standardizer_is_not_written(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(DataError):
+            save_checkpoint(init_params(DIMS, 24), standardizer_of(24, n=1), path)
+        assert not path.exists()
 
     def test_corruption_detected(self, tmp_path):
         params = init_params(DIMS, 24)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path, seed=24)
+        save_checkpoint(params, standardizer_of(24), path, seed=24)
         blob = bytearray(path.read_bytes())
         blob[-5] ^= 0xFF
         path.write_bytes(bytes(blob))

@@ -1,6 +1,16 @@
+import ast
+import builtins
+import dataclasses
+import json
+import os
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dramn
+from dramn import store
 from dramn.adjacency import build_adjacency, mean_centered
 from dramn.datagen import GenerationMix, SurrogateConfig, synthesize_scenario
 from dramn.dmd import DmdConfig
@@ -8,6 +18,7 @@ from dramn.errors import DataError
 from dramn.store import (
     ScenarioTensorCache,
     class_balance,
+    load_checkpoint,
     load_scenario,
     manifest_entry,
     read_manifest,
@@ -152,3 +163,114 @@ class TestTables:
         assert text[0] == "# config_hash=h"
         assert text[2] == "a\tb"
         assert text[3] == "1\t0.5"
+
+
+# Headers that pass each reader's format check but lack a field it needs;
+# the checkpoint's dims also lack fields, which ModelDims(**dims) rejects.
+_BASE_HEADERS = {
+    "load_scenario": {"format": "scenario"},
+    "read_scenario_header": {"format": "scenario"},
+    "cache": {"format": "adjacency-cache", "scenario": "s", "token": "t"},
+    "load_checkpoint": {"format": "checkpoint", "version": 2, "kind": "dramn",
+                        "seed": 0, "dims": {"n": 4}},
+}
+
+
+class TestMalformedHeaders:
+    """A header of the wrong shape is a DataError, and the cache rebuilds."""
+
+    @pytest.mark.parametrize("reader", sorted(_BASE_HEADERS))
+    @pytest.mark.parametrize("head", ["not-object", "missing-key"])
+    def test_reader_raises_data_error(self, tmp_path, reader, head):
+        payload = b"\0" * 16
+        if head == "not-object":
+            line = b"[1]"
+        else:
+            line = json.dumps(dict(_BASE_HEADERS[reader],
+                                   crc32=zlib.crc32(payload))).encode()
+        if reader == "cache":
+            path = ScenarioTensorCache(tmp_path, "s", "t").path
+        else:
+            path = tmp_path / "file"
+        with open(path, "wb") as fh:
+            fh.write(line + b"\n" + payload)
+
+        if reader == "cache":
+            assert ScenarioTensorCache(tmp_path, "s", "t").entries == {}
+        else:
+            with pytest.raises(DataError):
+                getattr(store, reader)(path)
+
+
+    def test_zero_share_mix_is_a_data_error(self, tmp_path, record):
+        path = save_scenario(record, tmp_path)
+        blob = Path(path).read_bytes()
+        nl = blob.index(b"\n")
+        header = dict(json.loads(blob[:nl]), mix=[0, 50, 50])
+        Path(path).write_bytes(json.dumps(header).encode() + blob[nl:])
+        with pytest.raises(DataError):
+            load_scenario(path)
+
+
+class _FailSecondWrite:
+    """A file wrapper whose second write (the payload) raises."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("no space left on device")
+        return self.fh.write(chunk)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path, record, monkeypatch):
+        path = save_scenario(record, tmp_path)
+        before = Path(path).read_bytes()
+        changed = dataclasses.replace(record, trajectory=2.0 * record.trajectory)
+        monkeypatch.setattr(store, "open",
+                            lambda *a, **k: _FailSecondWrite(builtins.open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_scenario(changed, tmp_path)
+        monkeypatch.undo()
+        assert Path(path).read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_written_file_has_ordinary_permissions(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_table(path, ("a",), [(1,)])
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["t.tsv"]
+
+    def test_only_store_opens_files_for_writing(self):
+        """Every write goes through the one helper in store."""
+        writers = []
+        for src in sorted(Path(dramn.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(src.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name in ("write_text", "write_bytes"):
+                    writers.append(src.name)
+                if name != "open":
+                    continue
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+                if mode is None:
+                    continue  # the default mode reads
+                if not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+"):
+                    writers.append(src.name)
+        assert writers == ["store.py"]
