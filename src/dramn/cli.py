@@ -146,17 +146,37 @@ def _checkpoint_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.paths.checkpoints, "model.ckpt")
 
 
+def _test_entries(cfg: RunConfig):
+    """Manifest entries of the test split, from the manifest alone.
+
+    Every scenario that is not diverged yields training samples, so the ids
+    `split_ids` sees here are those `split_dataset` sees in `train`.
+    """
+    entries = read_manifest(cfg.paths.scenario_store)["scenarios"]
+    _, _, test_ids = split_ids([e["id"] for e in entries if not e["diverged"]],
+                               cfg.train_config())
+    return [e for e in entries if e["id"] in test_ids]
+
+
 def _load_model(cfg: RunConfig):
+    """The checkpoint's parameters and standardizer, and the manifest entries
+    of this run's test split.
+
+    The checkpoint must name this run's seed and test split; otherwise
+    training scenarios would be scored as test.
+    """
     path = _checkpoint_path(cfg)
     if not os.path.exists(path):
         raise DataError(f"missing checkpoint {path}; run the train command first")
     params, std, header = load_checkpoint(path)
     if header.get("seed") != cfg.seed:
-        # the seed fixes the split: another seed would score training
-        # scenarios as test
         raise DataError(f"checkpoint {path} was trained with seed {header.get('seed')}, "
                         f"but this run uses seed {cfg.seed}")
-    return params, std, header
+    test_entries = _test_entries(cfg)
+    if header.get("test_ids") != sorted(e["id"] for e in test_entries):
+        raise DataError(f"checkpoint {path} was trained with another test split; "
+                        f"retrain with the train command")
+    return params, std, test_entries
 
 
 def _metric_row(label, report):
@@ -182,7 +202,9 @@ def cmd_generate(cfg: RunConfig, args) -> int:
         path = os.path.join(store, scenario_filename(spec.scenario_id))
         if args.skip_existing and os.path.exists(path):
             try:
-                return read_scenario_header(path)
+                entry = read_scenario_header(path)
+                if entry["id"] == spec.scenario_id:
+                    return entry
             except DataError:
                 pass  # fall through to regeneration
         record = synthesize_scenario(
@@ -216,7 +238,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
                    embed_dim=cfg.model.embed_dim, hidden_dim=cfg.model.hidden_dim)
     _ensure_dirs(cfg.paths.checkpoints)
     save_checkpoint(result.params, result.standardizer, _checkpoint_path(cfg),
-                    seed=cfg.seed, meta=_meta(cfg))
+                    seed=cfg.seed,
+                    test_ids={s.scenario_id for s in result.test_samples},
+                    meta=_meta(cfg))
     # --deterministic zeroes the wall-clock column so reruns are byte-identical
     history = [
         (st.epoch, st.train_loss, st.val_loss,
@@ -231,20 +255,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _test_entries(cfg: RunConfig):
-    """Manifest entries of the test split, from the manifest alone.
-
-    Every scenario that is not diverged yields training samples, so the ids
-    `split_ids` sees here are those `split_dataset` sees in `train`.
-    """
-    entries = read_manifest(cfg.paths.scenario_store)["scenarios"]
-    _, _, test_ids = split_ids([e["id"] for e in entries if not e["diverged"]],
-                               cfg.train_config())
-    return [e for e in entries if e["id"] in test_ids]
-
-
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    params, std, _ = _load_model(cfg)
+    params, std, test_entries = _load_model(cfg)
     _ensure_dirs(cfg.paths.reports)
     proto = cfg.window_protocol()
     token = proto.sequence.cache_token()
@@ -252,7 +264,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     # `train` filled, their generalization tensors are built here, and the
     # cache is not written back
     test_samples, gen_probs, gen_labels = [], [], []
-    for record in _iter_records(cfg, entries=_test_entries(cfg)):
+    for record in _iter_records(cfg, entries=test_entries):
         cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
         windowed = window_dataset(record, proto, include_generalization=True,
                                   tensor_source=_cached_source(cache, proto.sequence))

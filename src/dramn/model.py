@@ -10,11 +10,15 @@ The hot path is the batched trace (`forward_trace_batch`), which records
 every intermediate needed for exact reverse-mode differentiation. Because
 the temporal compressor is affine in the window samples, the trace consumes
 per-window channel means instead of full windows.
+
+The four gates are stored gate-major, in i, f, o, g order: ``w_x`` is
+(4, F, H), ``w_h`` is (4, H, H) and ``b`` is (4, H), so gate k reads
+``w_x[k]``, ``w_h[k]`` and ``b[k]``, and one step takes two stacked matmuls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,11 +27,7 @@ from .errors import DataError, NumericalFailureError
 # Flattened storage order of every trainable array; also the checkpoint layout.
 PARAM_ORDER = (
     "conv_scale", "conv_shift", "proj_w", "proj_b",
-    "alpha",
-    "w_xi", "w_hi", "b_i",
-    "w_xf", "w_hf", "b_f",
-    "w_xo", "w_ho", "b_o",
-    "w_xg", "w_hg", "b_g",
+    "alpha", "w_x", "w_h", "b",
     "readout_w", "readout_b",
 )
 
@@ -39,22 +39,21 @@ GCN_PARAM_ORDER = (
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Shape contract: channels, window samples, embed/hidden widths, layers, steps."""
+    """Shape contract: channels, embed/hidden widths, layers, steps."""
 
     n: int
-    t: int
     f: int = 64
     h: int = 64
     d: int = 5
     l_seq: int = 5
 
     def __post_init__(self):
-        for name in ("n", "t", "f", "h", "d", "l_seq"):
-            if getattr(self, name) < 1:
-                raise DataError(f"dimension {name} must be >= 1, got {getattr(self, name)}")
+        for name, value in self.as_dict().items():
+            if value < 1:
+                raise DataError(f"dimension {name} must be >= 1, got {value}")
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("n", "t", "f", "h", "d", "l_seq")}
+        return asdict(self)
 
 
 class _ParamTree:
@@ -85,18 +84,9 @@ class ModelParams(_ParamTree):
     proj_w: np.ndarray      # (F,)
     proj_b: np.ndarray      # (F,)
     alpha: np.ndarray       # (d,)
-    w_xi: np.ndarray        # (F, H)
-    w_hi: np.ndarray        # (H, H)
-    b_i: np.ndarray         # (H,)
-    w_xf: np.ndarray
-    w_hf: np.ndarray
-    b_f: np.ndarray
-    w_xo: np.ndarray
-    w_ho: np.ndarray
-    b_o: np.ndarray
-    w_xg: np.ndarray
-    w_hg: np.ndarray
-    b_g: np.ndarray
+    w_x: np.ndarray         # (4, F, H), gates i, f, o, g
+    w_h: np.ndarray         # (4, H, H)
+    b: np.ndarray           # (4, H)
     readout_w: np.ndarray   # (H,)
     readout_b: np.ndarray   # ()
 
@@ -166,15 +156,16 @@ def init_params(dims: ModelDims, seed: int) -> ModelParams:
     for zero-mean windows; without it the graph convolution multiplies
     zeros and the adjacency input is invisible until the bias drifts away
     from the origin. The forget-gate bias starts at 1.0 to ease early
-    gradient flow; the layer-mixing scalars start uniform at 1/d.
+    gradient flow; the layer-mixing scalars start uniform at 1/d. The gate
+    weights are drawn gate by gate (i, f, o, g), input weight before hidden
+    weight, and then stacked.
     """
     def gates(u, f, h):
-        return dict(
-            w_xi=u(f, f, h), w_hi=u(h, h, h), b_i=np.zeros(h),
-            w_xf=u(f, f, h), w_hf=u(h, h, h), b_f=np.ones(h),
-            w_xo=u(f, f, h), w_ho=u(h, h, h), b_o=np.zeros(h),
-            w_xg=u(f, f, h), w_hg=u(h, h, h), b_g=np.zeros(h),
-        )
+        draws = [(u(f, f, h), u(h, h, h)) for _ in range(4)]
+        b = np.zeros((4, h))
+        b[1] = 1.0
+        return dict(w_x=np.stack([wx for wx, _ in draws]),
+                    w_h=np.stack([wh for _, wh in draws]), b=b)
 
     return _init_family(ModelParams, dims, seed, 0x0D0A, gates)
 
@@ -248,10 +239,9 @@ def forward_trace_batch(means: np.ndarray, layers, params: ModelParams,
             gt = geff[:, t]
             xt = gt @ xh
             ht = gt @ h
-        i = _sigmoid(xt @ params.w_xi + ht @ params.w_hi + params.b_i)
-        f = _sigmoid(xt @ params.w_xf + ht @ params.w_hf + params.b_f)
-        o = _sigmoid(xt @ params.w_xo + ht @ params.w_ho + params.b_o)
-        g = np.tanh(xt @ params.w_xg + ht @ params.w_hg + params.b_g)
+        z = xt[:, None] @ params.w_x + ht[:, None] @ params.w_h + params.b[:, None]
+        i, f, o = (_sigmoid(z[:, k]) for k in range(3))
+        g = np.tanh(z[:, 3])
         xt_l.append(xt)
         ht_l.append(ht)
         hp_l.append(h)

@@ -26,7 +26,7 @@ from .model import ModelDims
 from .training import VARIANTS, Standardizer
 
 MANIFEST_NAME = "manifest.json"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # leading bytes of the retired version 1 checkpoint framing
 _V1_CHECKPOINT_MAGIC = b"DRMC"
 
@@ -122,15 +122,32 @@ def save_scenario(record: ScenarioRecord, directory) -> str:
     return path
 
 
+def _read_scenario(path):
+    """Header, payload and mix of a scenario file.
+
+    DataError unless the payload checksum holds, the mix is valid and the
+    payload holds n_samples x channels float64 values.
+    """
+    header, payload = _read_header_and_payload(path)
+    if header.get("format") != "scenario":
+        raise DataError(f"{path}: not a scenario file")
+    with _header_fields(path):
+        mix = GenerationMix(*header["mix"])
+        expected = header["n_samples"] * len(header["channels"]) * 8
+    if len(payload) != expected:
+        raise DataError(f"{path}: trajectory payload is {len(payload)} bytes, "
+                        f"expected {expected}")
+    return header, payload, mix
+
+
 def read_scenario_header(path) -> dict:
     """Manifest entry for an existing scenario file.
 
-    The whole file is read and its payload checksummed, so a truncated or
-    corrupted file raises DataError; the trajectory itself is not decoded.
+    The whole file is read and checked as `load_scenario` checks it, so a
+    truncated, corrupted or malformed file raises DataError; the trajectory
+    itself is not decoded.
     """
-    header, _ = _read_header_and_payload(path)
-    if header.get("format") != "scenario":
-        raise DataError(f"{path}: not a scenario file")
+    header, _, _ = _read_scenario(path)
     with _header_fields(path):
         return {
             "id": header["id"],
@@ -143,26 +160,18 @@ def read_scenario_header(path) -> dict:
 
 
 def load_scenario(path) -> ScenarioRecord:
-    header, payload = _read_header_and_payload(path)
-    if header.get("format") != "scenario":
-        raise DataError(f"{path}: not a scenario file")
+    header, payload, mix = _read_scenario(path)
     with _header_fields(path):
-        n_samples = header["n_samples"]
-        n_channels = len(header["channels"])
-        expected = n_samples * n_channels * 8
-        if len(payload) != expected:
-            raise DataError(f"{path}: trajectory payload is {len(payload)} bytes, "
-                            f"expected {expected}")
         # astype copies: the record owns its trajectory, and the file buffer
         # goes when this returns
         trajectory = (
             np.frombuffer(payload, dtype="<f8")
-            .reshape(n_samples, n_channels)
+            .reshape(header["n_samples"], len(header["channels"]))
             .astype(np.float64)
         )
         spectrum = np.array([complex(re, im) for re, im in header["spectrum"]])
         return ScenarioRecord(
-            mix=GenerationMix(*header["mix"]),
+            mix=mix,
             event=header["event"],
             seed=header["seed"],
             trajectory=trajectory,
@@ -301,13 +310,13 @@ class ScenarioTensorCache:
 
 
 def save_checkpoint(params, standardizer: Standardizer, path, seed: int = 0,
-                    meta: dict = None) -> None:
+                    test_ids=(), meta: dict = None) -> None:
     """Write a trained model as one bit-exact file.
 
     The payload is the family's arrays in its ORDER (PARAM_ORDER, or
     GCN_PARAM_ORDER for the baseline), then the standardizer's mean and std,
-    n float64 each. The header records dims, seed, the format version, and
-    the family's KIND.
+    n float64 each. The header records dims, seed, the sorted ids of the
+    test scenarios, the format version, and the family's KIND.
     """
     n = params.dims.n
     if standardizer.mean.shape != (n,) or standardizer.std.shape != (n,):
@@ -321,6 +330,7 @@ def save_checkpoint(params, standardizer: Standardizer, path, seed: int = 0,
         "kind": params.KIND,
         "dims": params.dims.as_dict(),
         "seed": int(seed),
+        "test_ids": sorted(test_ids),
     }
     if meta:
         header["meta"] = meta

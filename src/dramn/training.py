@@ -98,15 +98,6 @@ def mae_batch(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.abs(np.asarray(p) - np.asarray(y))))
 
 
-# Input weight, hidden weight and bias of each gate, in i, f, o, g order.
-_GATES = (
-    ("w_xi", "w_hi", "b_i"),
-    ("w_xf", "w_hf", "b_f"),
-    ("w_xo", "w_ho", "b_o"),
-    ("w_xg", "w_hg", "b_g"),
-)
-
-
 def backward_batch(means: np.ndarray, layers, params: ModelParams, y: np.ndarray,
                    identity_graph: bool = False):
     """Loss and exact gradients of the batch-mean MAE for the recurrent model.
@@ -121,7 +112,6 @@ def backward_batch(means: np.ndarray, layers, params: ModelParams, y: np.ndarray
     trace = forward_trace_batch(means, layers, params, identity_graph=identity_graph)
     b, l, n = trace.means.shape
     f_dim, h_dim = params.dims.f, params.dims.h
-    weights = params.tree()
     y = np.asarray(y, dtype=np.float64)
     losses = np.abs(trace.p - y)
 
@@ -161,13 +151,14 @@ def backward_batch(means: np.ndarray, layers, params: ModelParams, y: np.ndarray
                 np.concatenate((xt, ht), axis=-1).reshape(b * n, f_dim + h_dim),
                 np.concatenate(dpre, axis=-1).reshape(b * n, 4 * h_dim),
             ))
+            # One product per gate, summed in i, f, o, g order: a single
+            # 4H-wide contraction would round differently.
             dxt = np.zeros_like(xt)
             dht = np.zeros_like(ht)
-            for k, (wx, wh, bias) in enumerate(_GATES):
-                d = dpre[k]
-                grads[bias] += d.sum(axis=(0, 1))
-                dxt += d @ weights[wx].T
-                dht += d @ weights[wh].T
+            for k, d in enumerate(dpre):
+                grads["b"][k] += d.sum(axis=(0, 1))
+                dxt += d @ params.w_x[k].T
+                dht += d @ params.w_h[k].T
 
             if identity_graph:
                 dxhat[:, t] = dxt
@@ -185,11 +176,9 @@ def backward_batch(means: np.ndarray, layers, params: ModelParams, y: np.ndarray
 
     # Summed in the order the steps were visited, last step first.
     for step in weight_steps:
-        dw = step.result()
-        for k, (wx, wh, _) in enumerate(_GATES):
-            cols = slice(k * h_dim, (k + 1) * h_dim)
-            grads[wx] += dw[:f_dim, cols]
-            grads[wh] += dw[f_dim:, cols]
+        dw = step.result().reshape(f_dim + h_dim, 4, h_dim).swapaxes(0, 1)
+        grads["w_x"] += dw[:, :f_dim]
+        grads["w_h"] += dw[:, f_dim:]
 
     if not identity_graph:
         grads["alpha"][...] = np.einsum("blnm,blnmd->d", dgeff, trace.layers)
@@ -419,15 +408,8 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
     m_tr, g_tr, y_tr = stack_inputs(train_s, std, last_only=spec.last_only)
     m_va, g_va, y_va = stack_inputs(val_s, std, last_only=spec.last_only)
 
-    n = m_tr.shape[2]
-    dims = ModelDims(
-        n=n,
-        t=train_s[0].windows[0].n_samples,
-        f=embed_dim,
-        h=hidden_dim,
-        d=g_tr.shape[-1],
-        l_seq=m_tr.shape[1],
-    )
+    _, l_seq, n = m_tr.shape
+    dims = ModelDims(n=n, f=embed_dim, h=hidden_dim, d=g_tr.shape[-1], l_seq=l_seq)
     params = spec.init(dims, cfg.seed)
 
     state = AdamWState.init(params)

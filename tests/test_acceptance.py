@@ -205,7 +205,7 @@ def test_c03_adjacency_bounds_suite():
 
 
 def test_c04_gradient_check():
-    dims = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=2)
+    dims = ModelDims(n=4, f=8, h=8, d=5, l_seq=2)
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):
@@ -242,7 +242,7 @@ def test_c04_gradient_check():
 def test_c05_identity_graph_reduction():
     from test_model import reference_plain_lstm
 
-    dims = ModelDims(n=5, t=30, f=12, h=12, d=5, l_seq=4)
+    dims = ModelDims(n=5, f=12, h=12, d=5, l_seq=4)
     rng = np.random.default_rng(404)
     params = init_params(dims, 404)
     means = rng.standard_normal((8, dims.l_seq, dims.n))

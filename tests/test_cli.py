@@ -29,6 +29,7 @@ from dramn.store import (
     write_manifest,
 )
 from dramn.training import split_dataset
+from test_store import edited_header
 
 
 def demo_config(tmp_path, **overrides):
@@ -94,6 +95,23 @@ class TestGenerate:
             if name.endswith(".scn"):
                 assert after[name] == before[name]
 
+    def test_skip_existing_regenerates_bad_files(self, tmp_path):
+        # a zero-share mix that only load_scenario rejected, and an intact
+        # file that holds another scenario than its name says
+        cfg_path = demo_config(tmp_path)
+        assert main(["generate", "--config", cfg_path, "--deterministic"]) == 0
+        store = tmp_path / "scenarios"
+        manifest = read_manifest(store)["scenarios"]
+        first, second, third = (store / e["file"] for e in manifest[:3])
+        edited_header(first, mix=[0, 50, 50])
+        second.write_bytes(third.read_bytes())
+
+        assert main(["generate", "--config", cfg_path, "--deterministic",
+                     "--skip-existing"]) == 0
+        assert read_manifest(store)["scenarios"] == manifest
+        for entry in manifest[:2]:
+            assert load_scenario(store / entry["file"]).scenario_id == entry["id"]
+
     def test_infeasible_grid_exit_code(self, tmp_path):
         cfg_path = demo_config(tmp_path, data={"ternary_step": 7})
         assert main(["generate", "--config", cfg_path]) == 2
@@ -145,6 +163,19 @@ class TestEvaluate:
         assert "seed 3" in err and "seed 4" in err
         assert main(["noise", "--config", cfg_path, "--seed", "4"]) == 3
         assert main(["evaluate", "--config", cfg_path, "--seed", "3"]) == 0
+
+    def test_refuses_checkpoint_of_another_split(self, pipeline, tmp_path, capsys):
+        # same seed, other test fraction: the split the checkpoint names no
+        # longer matches, and scoring would mix training scenarios into test
+        _, cfg_path = pipeline
+        cfg = json.loads(open(cfg_path).read())
+        cfg["train"]["test_fraction"] = 0.4
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(other)]) == 3
+        assert "test split" in capsys.readouterr().err
+        assert main(["noise", "--config", str(other)]) == 3
 
     def test_manifest_split_equals_sample_split(self, tmp_path):
         cfg_path = demo_config(tmp_path)
@@ -271,11 +302,14 @@ class TestExitCodes:
         # the retired version 1 framing: magic, header length, header, payload
         (lambda blob: reframed(blob, lambda h, p: (
             b"DRMC" + struct.pack("<I", len(h)) + h, p), newline=b""), "retrain"),
+        # the retired version 2 header, with per-gate arrays in its payload
+        (lambda blob: reframed(blob, lambda h, p: (
+            json.dumps(dict(json.loads(h), version=2)).encode(), p)), "retrain"),
         # the standardizer's std loses a channel; the checksum still holds
         (lambda blob: reframed(blob, lambda h, p: (with_crc(h, p[:-8]), p[:-8])),
          "payload is"),
     ], ids=["six-bytes", "cut-header", "garbled-header", "not-object", "no-checksum",
-            "v1-framing", "length-mismatch"])
+            "v1-framing", "v2-header", "length-mismatch"])
     def test_corrupt_checkpoint(self, pipeline, tmp_path, capsys, corrupt, message):
         src, _ = pipeline
         cfg_path = demo_config(tmp_path)

@@ -141,19 +141,19 @@ class TestPredictProba:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_rejects_other_channel_and_step_counts(self, variant):
         spec = VARIANTS[variant]
-        dims = ModelDims(n=20, t=20, f=8, h=8, d=5, l_seq=1 if spec.last_only else 5)
+        dims = ModelDims(n=20, f=8, h=8, d=5, l_seq=1 if spec.last_only else 5)
         samples = random_samples(np.random.default_rng(3), n=4, l_seq=3)
         with pytest.raises(DataError):
             predict_proba(spec.init(dims, 3), samples, variant=variant)
 
     def test_rejects_other_layer_count(self):
-        dims = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=3)
+        dims = ModelDims(n=4, f=8, h=8, d=5, l_seq=3)
         samples = random_samples(np.random.default_rng(4), n=4, l_seq=3, d=3)
         with pytest.raises(DataError):
             predict_proba(init_params(dims, 4), samples)
 
     def test_unknown_variant_rejected(self):
-        dims = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=3)
+        dims = ModelDims(n=4, f=8, h=8, d=5, l_seq=3)
         samples = random_samples(np.random.default_rng(5), n=4, l_seq=3)
         with pytest.raises(ConfigError):
             predict_proba(init_params(dims, 5), samples, variant="transformer")

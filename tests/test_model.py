@@ -18,13 +18,14 @@ from dramn.model import (
 from dramn.store import load_checkpoint, save_checkpoint
 from dramn.training import Standardizer, stack_inputs
 
-DIMS = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=3)
+DIMS = ModelDims(n=4, f=8, h=8, d=5, l_seq=3)
+T = 20  # samples per raw window
 
 
 def make_sample(rng, dims=DIMS, label=1):
     windows, tensors = [], []
     for t in range(dims.l_seq):
-        data = rng.standard_normal((dims.t, dims.n))
+        data = rng.standard_normal((T, dims.n))
         windows.append(TimeSeriesWindow(data=data, dt=0.001, t_start=t * 100))
         raw = rng.standard_normal((dims.n, dims.n, dims.d))
         raw = 0.5 * (raw + raw.transpose(1, 0, 2))
@@ -62,7 +63,7 @@ class TestTemporalCompress:
 
     def test_constant_input_equal_rows(self):
         params = init_params(DIMS, 1)
-        out = compress_means(np.full((DIMS.t, DIMS.n), 3.2).mean(axis=0), params)
+        out = compress_means(np.full((T, DIMS.n), 3.2).mean(axis=0), params)
         np.testing.assert_allclose(out, out[0][None, :].repeat(DIMS.n, axis=0))
 
     def test_matches_two_step_reference(self):
@@ -70,7 +71,7 @@ class TestTemporalCompress:
         # the map is affine, so embedding the window's channel means is the same.
         rng = np.random.default_rng(2)
         params = init_params(DIMS, 2)
-        x = rng.standard_normal((DIMS.t, DIMS.n))
+        x = rng.standard_normal((T, DIMS.n))
         got = compress_means(x.mean(axis=0), params)
         pooled = (params.conv_scale * x + params.conv_shift).mean(axis=0)
         want = np.outer(pooled, params.proj_w) + params.proj_b
@@ -80,7 +81,7 @@ class TestTemporalCompress:
 def mixed_graph(layers, alpha):
     """The effective graph the trace mixes from one (n, n, d) layer stack."""
     n, _, d = layers.shape
-    params = init_params(ModelDims(n=n, t=2, f=2, h=2, d=d, l_seq=1), 0)
+    params = init_params(ModelDims(n=n, f=2, h=2, d=d, l_seq=1), 0)
     params.alpha[:] = alpha
     return forward_trace_batch(np.zeros((1, 1, n)), layers[None, None], params).geff[0, 0]
 
@@ -117,7 +118,7 @@ class TestCellStep:
     def test_unit_memory_hand_value(self):
         rng = np.random.default_rng(7)
         params = zero_params(7)
-        params.b_g[:] = np.arctanh(0.5)
+        params.b[3] = np.arctanh(0.5)  # the g gate
         trace = trace_of(make_sample(rng), params)
         # gates all sigmoid(0) = 0.5 and g = 0.5: c1 = 0.25, then
         # c2 = f c1 + i g = 0.375, c3 = 0.4375, h3 = 0.5 tanh(c3)
@@ -170,7 +171,7 @@ class TestForward:
 
     def test_dims_mismatch(self):
         rng = np.random.default_rng(14)
-        params = init_params(ModelDims(n=5, t=20, f=8, h=8, d=5, l_seq=3), 14)
+        params = init_params(ModelDims(n=5, f=8, h=8, d=5, l_seq=3), 14)
         with pytest.raises(DataError):
             predict_proba(params, [make_sample(rng)])
 
@@ -208,10 +209,9 @@ def reference_plain_lstm(means, params):
         for t in range(l):
             pooled = params.conv_scale * means[bi, t] + params.conv_shift
             x = np.outer(pooled, params.proj_w) + params.proj_b
-            i = sigmoid(x @ params.w_xi + h @ params.w_hi + params.b_i)
-            f = sigmoid(x @ params.w_xf + h @ params.w_hf + params.b_f)
-            o = sigmoid(x @ params.w_xo + h @ params.w_ho + params.b_o)
-            g = np.tanh(x @ params.w_xg + h @ params.w_hg + params.b_g)
+            z = [x @ params.w_x[k] + h @ params.w_h[k] + params.b[k] for k in range(4)]
+            i, f, o = sigmoid(z[0]), sigmoid(z[1]), sigmoid(z[2])
+            g = np.tanh(z[3])
             c = f * c + i * g
             h = o * np.tanh(c)
         probs[bi] = sigmoid((h @ params.readout_w).mean() + params.readout_b)
@@ -252,17 +252,40 @@ class TestInitParams:
                    for name in PARAM_ORDER)
 
     def test_fan_in_bound(self):
-        dims = ModelDims(n=4, t=20, f=64, h=64, d=5, l_seq=2)
+        dims = ModelDims(n=4, f=64, h=64, d=5, l_seq=2)
         params = init_params(dims, 7)
-        for name in ("w_xi", "w_hi", "w_xf", "w_hf", "w_xo", "w_ho",
-                     "w_xg", "w_hg"):
-            assert np.abs(getattr(params, name)).max() <= 1.0 / 8.0
+        assert params.w_x.shape == (4, 64, 64) and params.w_h.shape == (4, 64, 64)
+        for w in (params.w_x, params.w_h):
+            assert np.abs(w).max() <= 1.0 / 8.0
 
     def test_special_values(self):
         params = init_params(DIMS, 8)
         assert params.conv_scale == 1.0
-        np.testing.assert_array_equal(params.b_f, np.ones(DIMS.h))
+        # the forget gate (index 1 in i, f, o, g) starts at 1, the others at 0
+        np.testing.assert_array_equal(params.b, [[0.0] * DIMS.h, [1.0] * DIMS.h,
+                                                 [0.0] * DIMS.h, [0.0] * DIMS.h])
         np.testing.assert_allclose(params.alpha, 1.0 / DIMS.d)
+
+    @pytest.mark.parametrize("f,h", [(8, 8), (12, 5)])
+    def test_draw_order_matches_per_gate_reference(self, f, h):
+        """Gate by gate, input weight then hidden weight: one (4, F, H) draw
+        would give other numbers and change every trained model."""
+        dims = ModelDims(n=3, f=f, h=h, d=5, l_seq=2)
+        rng = np.random.default_rng(np.random.SeedSequence([31, 0x0D0A]))
+
+        def u(fan_in, *shape):
+            return rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
+
+        proj_w, proj_b = u(1, f), 0.5 * u(1, f)
+        per_gate = [(u(f, f, h), u(h, h, h)) for _ in "ifog"]
+        readout_w = u(h, h)
+        params = init_params(dims, 31)
+        for k, (wx, wh) in enumerate(per_gate):
+            assert params.w_x[k].tobytes() == wx.tobytes()
+            assert params.w_h[k].tobytes() == wh.tobytes()
+        assert params.proj_w.tobytes() == proj_w.tobytes()
+        assert params.proj_b.tobytes() == proj_b.tobytes()
+        assert params.readout_w.tobytes() == readout_w.tobytes()
 
 
 def standardizer_of(seed, n=DIMS.n):
@@ -277,29 +300,37 @@ def assert_standardizer_bit_equal(back, std):
     assert back.transform(x).tobytes() == std.transform(x).tobytes()
 
 
+def assert_round_trip(params, path, seed):
+    """Save and load: every array and the standardizer come back bit-equal,
+    and the header names kind, dims, seed and the sorted test split."""
+    std = standardizer_of(seed)
+    save_checkpoint(params, std, path, seed=seed, test_ids={"s2", "s10", "s1"},
+                    meta={"config_hash": "abc"})
+    back, back_std, header = load_checkpoint(path)
+    assert type(back) is type(params)
+    assert header["version"] == 3
+    assert header["kind"] == params.KIND
+    assert header["dims"] == {"n": 4, "f": 8, "h": 8, "d": 5, "l_seq": 3}
+    assert header["seed"] == seed
+    assert header["test_ids"] == ["s1", "s10", "s2"]
+    assert header["meta"]["config_hash"] == "abc"
+    assert back.dims == params.dims
+    assert list(back.tree()) == list(params.ORDER)
+    for name, want in params.tree().items():
+        assert getattr(back, name).tobytes() == want.tobytes()
+    assert_standardizer_bit_equal(back_std, std)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        params, std = init_params(DIMS, 21), standardizer_of(21)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, std, path, seed=21, meta={"config_hash": "abc"})
-        back, back_std, header = load_checkpoint(path)
-        assert header["seed"] == 21
-        assert header["meta"]["config_hash"] == "abc"
-        assert back.dims == params.dims
-        for name in PARAM_ORDER:
-            got, want = getattr(back, name), getattr(params, name)
-            assert got.tobytes() == want.tobytes()
-        assert_standardizer_bit_equal(back_std, std)
+        params = init_params(DIMS, 21)
+        assert list(params.tree()) == list(PARAM_ORDER) and len(PARAM_ORDER) == 10
+        assert_round_trip(params, tmp_path / "model.ckpt", 21)
 
     def test_gcn_round_trip(self, tmp_path):
-        params, std = init_gcn_params(DIMS, 22), standardizer_of(22)
-        path = tmp_path / "gcn.ckpt"
-        save_checkpoint(params, std, path, seed=22)
-        back, back_std, header = load_checkpoint(path)
-        assert header["kind"] == "gcn"
-        for name in GCN_PARAM_ORDER:
-            assert getattr(back, name).tobytes() == getattr(params, name).tobytes()
-        assert_standardizer_bit_equal(back_std, std)
+        params = init_gcn_params(DIMS, 22)
+        assert list(params.tree()) == list(GCN_PARAM_ORDER)
+        assert_round_trip(params, tmp_path / "gcn.ckpt", 22)
 
     def test_save_is_deterministic(self, tmp_path):
         params, std = init_params(DIMS, 23), standardizer_of(23)

@@ -166,13 +166,13 @@ class TestTables:
 
 
 # Headers that pass each reader's format check but lack a field it needs;
-# the checkpoint's dims also lack fields, which ModelDims(**dims) rejects.
+# the checkpoint's dims lack `n`, which ModelDims(**dims) rejects.
 _BASE_HEADERS = {
     "load_scenario": {"format": "scenario"},
     "read_scenario_header": {"format": "scenario"},
     "cache": {"format": "adjacency-cache", "scenario": "s", "token": "t"},
-    "load_checkpoint": {"format": "checkpoint", "version": 2, "kind": "dramn",
-                        "seed": 0, "dims": {"n": 4}},
+    "load_checkpoint": {"format": "checkpoint", "version": 3, "kind": "dramn",
+                        "seed": 0, "dims": {"f": 4}},
 }
 
 
@@ -203,13 +203,26 @@ class TestMalformedHeaders:
 
 
     def test_zero_share_mix_is_a_data_error(self, tmp_path, record):
-        path = save_scenario(record, tmp_path)
-        blob = Path(path).read_bytes()
-        nl = blob.index(b"\n")
-        header = dict(json.loads(blob[:nl]), mix=[0, 50, 50])
-        Path(path).write_bytes(json.dumps(header).encode() + blob[nl:])
-        with pytest.raises(DataError):
-            load_scenario(path)
+        path = edited_header(save_scenario(record, tmp_path), mix=[0, 50, 50])
+        for reader in (load_scenario, read_scenario_header):
+            with pytest.raises(DataError):
+                reader(path)
+
+    def test_short_payload_is_a_data_error(self, tmp_path, record):
+        path = edited_header(save_scenario(record, tmp_path), n_samples=10)
+        for reader in (load_scenario, read_scenario_header):
+            with pytest.raises(DataError, match="payload is"):
+                reader(path)
+
+
+def edited_header(path, **edit):
+    """Rewrite a scenario file's header with ``edit``; the payload and its
+    checksum stay as they were."""
+    blob = Path(path).read_bytes()
+    nl = blob.index(b"\n")
+    header = dict(json.loads(blob[:nl]), **edit)
+    Path(path).write_bytes(json.dumps(header).encode() + blob[nl:])
+    return path
 
 
 class _FailSecondWrite:

@@ -24,7 +24,8 @@ from dramn.training import (
     train,
 )
 
-TINY = ModelDims(n=4, t=20, f=8, h=8, d=5, l_seq=2)
+TINY = ModelDims(n=4, f=8, h=8, d=5, l_seq=2)
+T = 20  # samples per raw window
 
 
 def tiny_inputs(rng, dims=TINY, batch=1):
@@ -59,7 +60,8 @@ def fd_check(params, loss_fn, grads, step=1e-6, floor=1e-6):
 
 
 def reference_backward_batch(means, layers, params, y, identity_graph=False):
-    """backward_batch written out gate by gate: one einsum per weight gradient.
+    """backward_batch written out gate by gate: one einsum per weight gradient,
+    gate k reading ``w_x[k]``, ``w_h[k]`` and ``b[k]``.
 
     Same arithmetic in the same order as the fused, threaded version, so the
     two must agree to the last bit.
@@ -80,20 +82,20 @@ def reference_backward_batch(means, layers, params, y, identity_graph=False):
         tc = trace.tanh_c[t]
         do = dh * tc
         dc = dc_carry + dh * o * (1.0 - tc * tc)
-        dpre = {"i": dc * g * i * (1.0 - i),
-                "f": dc * trace.c_prev[t] * f * (1.0 - f),
-                "o": do * o * (1.0 - o),
-                "g": dc * i * (1.0 - g * g)}
+        dpre = (dc * g * i * (1.0 - i),
+                dc * trace.c_prev[t] * f * (1.0 - f),
+                do * o * (1.0 - o),
+                dc * i * (1.0 - g * g))
         dc_carry = dc * f
         xt, ht = trace.xt[t], trace.ht[t]
         dxt = np.zeros_like(xt)
         dht = np.zeros_like(ht)
-        for k, d in dpre.items():
-            grads[f"w_x{k}"] += np.einsum("bnf,bnh->fh", xt, d)
-            grads[f"w_h{k}"] += np.einsum("bnh,bnk->hk", ht, d)
-            grads[f"b_{k}"] += d.sum(axis=(0, 1))
-            dxt += d @ getattr(params, f"w_x{k}").T
-            dht += d @ getattr(params, f"w_h{k}").T
+        for k, d in enumerate(dpre):
+            grads["w_x"][k] += np.einsum("bnf,bnh->fh", xt, d)
+            grads["w_h"][k] += np.einsum("bnh,bnk->hk", ht, d)
+            grads["b"][k] += d.sum(axis=(0, 1))
+            dxt += d @ params.w_x[k].T
+            dht += d @ params.w_h[k].T
         if identity_graph:
             dxhat[:, t] = dxt
             dh = dht
@@ -197,7 +199,7 @@ class TestBackward:
     def test_single_sample_batch(self):
         rng = np.random.default_rng(53)
         params = init_params(TINY, 53)
-        windows = [TimeSeriesWindow(data=rng.standard_normal((TINY.t, TINY.n)),
+        windows = [TimeSeriesWindow(data=rng.standard_normal((T, TINY.n)),
                                     dt=0.001) for _ in range(TINY.l_seq)]
         raw = rng.standard_normal((TINY.n, TINY.n, TINY.d))
         tensors = [AdjacencyTensor(layers=0.5 * (raw + raw.transpose(1, 0, 2)),
@@ -211,11 +213,16 @@ class TestBackward:
         assert 0.0 <= losses[0] <= 1.0
         assert set(grads) == set(params.tree())
 
-    @pytest.mark.parametrize("n,batch,l_seq", [(4, 7, 3), (20, 32, 5), (3, 1, 1)])
+    @pytest.mark.parametrize("n,batch,l_seq,f,h", [
+        pytest.param(4, 7, 3, 64, 64, id="4-7-3"),
+        pytest.param(20, 32, 5, 64, 64, id="20-32-5"),
+        pytest.param(3, 1, 1, 64, 64, id="3-1-1"),
+        pytest.param(20, 32, 5, 64, 32, id="20-32-5-f64-h32"),
+    ])
     @pytest.mark.parametrize("identity_graph", [False, True])
-    def test_matches_per_gate_reference_bit_for_bit(self, n, batch, l_seq,
+    def test_matches_per_gate_reference_bit_for_bit(self, n, batch, l_seq, f, h,
                                                      identity_graph):
-        dims = ModelDims(n=n, t=20, f=64, h=64, d=5, l_seq=l_seq)
+        dims = ModelDims(n=n, f=f, h=h, d=5, l_seq=l_seq)
         params = init_params(dims, n + batch)
         means, layers, y = tiny_inputs(np.random.default_rng(n * batch), dims,
                                        batch=batch)
@@ -271,7 +278,7 @@ def dataset_of(n_scenarios, rng, dims=TINY, per_scenario=3):
     for s in range(n_scenarios):
         label = int(rng.uniform() > 0.5)
         for k in range(per_scenario):
-            data = rng.standard_normal((dims.t, dims.n)) * 0.2
+            data = rng.standard_normal((T, dims.n)) * 0.2
             data[:, 0] += 2.0 * label - 1.0
             windows = [TimeSeriesWindow(data=data, dt=0.001, t_start=j * 100)
                        for j in range(dims.l_seq)]
