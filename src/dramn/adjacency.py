@@ -55,21 +55,67 @@ class AdjacencyTensor:
 
 @dataclass(eq=False)
 class SequenceSample:
-    """Model input: consecutive raw windows, their adjacency tensors, a label."""
+    """Model input: L consecutive windows, their adjacency tensors, a label.
 
-    windows: list
+    Of the raw windows the model reads only the per-window channel means and
+    the standardizer only the per-window channel sums and sums of squares.
+    Each statistic is taken from the windows on first use and kept, so
+    `drop_windows` can let the windows go: those cut by `window_dataset` are
+    read-only views of their scenario's trajectory and would keep all of it
+    alive. ``rows`` holds each window's sample count.
+    """
+
+    windows: list  # TimeSeriesWindow, oldest first; None once dropped
     tensors: list
     label: int
     scenario_id: str = ""
     t_end: int = 0
-    _means: np.ndarray = field(default=None, repr=False)
+    rows: tuple = ()
+    _sums: np.ndarray = field(default=None, repr=False)
+    _squares: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.windows is not None:
+            self.rows = tuple(w.n_samples for w in self.windows)
+
+    def _window_data(self, what: str):
+        if self.windows is None:
+            raise DataError(f"sample {self.scenario_id}@{self.t_end} ms dropped its "
+                            f"windows before its {what} were taken")
+        return [w.data for w in self.windows]
+
+    @property
+    def channel_sums(self) -> np.ndarray:
+        """Per-window channel sums (L x n)."""
+        if self._sums is None:
+            self._sums = np.stack([d.sum(axis=0)
+                                   for d in self._window_data("channel sums")])
+        return self._sums
+
+    @property
+    def channel_squares(self) -> np.ndarray:
+        """Per-window channel sums of squares (L x n)."""
+        if self._squares is None:
+            self._squares = np.stack([(d * d).sum(axis=0)
+                                      for d in self._window_data("sums of squares")])
+        return self._squares
 
     @property
     def channel_means(self) -> np.ndarray:
-        """Per-window channel means (L x n); the pooled input the model sees."""
-        if self._means is None:
-            self._means = np.stack([w.data.mean(axis=0) for w in self.windows])
-        return self._means
+        """Per-window channel means (L x n); the pooled input the model sees.
+
+        Equal bit for bit to each window's ``data.mean(axis=0)``, which is
+        the same sum divided by the same count.
+        """
+        return self.channel_sums / np.array(self.rows)[:, None]
+
+    def drop_windows(self, squares: bool = False) -> None:
+        """Take the channel sums (and, with ``squares``, the sums of squares)
+        from the windows, then let the windows go."""
+        self._sums = self.channel_sums
+        if squares:
+            self._squares = self.channel_squares
+        self.windows = None
 
     @property
     def layer_stack(self) -> np.ndarray:
@@ -104,6 +150,11 @@ class SequenceConfig:
     def window_ends(self, t_end: int) -> list:
         """End times of the l_seq windows, oldest first, finishing at t_end."""
         return [t_end - (self.l_seq - 1 - k) * self.stride_ms for k in range(self.l_seq)]
+
+    def window_starts(self, t_end: int) -> list:
+        """Start times of the same windows; a window's tensor is cached under
+        its start."""
+        return [end - self.window_ms + 1 for end in self.window_ends(t_end)]
 
     def history_ms(self) -> int:
         """Scenario span one sequence consumes."""

@@ -53,6 +53,7 @@ from .store import (
     manifest_entry,
     read_manifest,
     read_scenario_header,
+    read_scenario_line,
     scenario_filename,
     save_checkpoint,
     save_scenario,
@@ -84,12 +85,9 @@ def _slice_record(record, channels):
     )
 
 
-def _iter_records(cfg: RunConfig, channels=None, entries=None):
-    """Stored scenarios in manifest order; with ``entries``, only those
-    manifest entries."""
+def _iter_records(cfg: RunConfig, entries, channels=None):
+    """The stored scenarios of the manifest ``entries``, in their order."""
     store = cfg.paths.scenario_store
-    if entries is None:
-        entries = read_manifest(store)["scenarios"]
     for entry in entries:
         record = load_scenario(os.path.join(store, entry["file"]))
         if channels:
@@ -103,39 +101,52 @@ def _cached_source(cache: ScenarioTensorCache, seq):
     return cache.source(lambda w: build_adjacency(seq.adjacency_input(w), seq.dmd))
 
 
-def _window_cached(cfg: RunConfig, record, proto, token: str):
-    """Window one scenario, reading and filling its adjacency cache file.
+def _split(entries, cfg: RunConfig):
+    """Train, validation and test ids of the manifest ``entries``.
 
-    Returns the windowed scenario and the cache, whose hit and miss counts
-    cover this call.
+    Every scenario that is not diverged yields training samples, so these
+    are the ids `split_dataset` sees in `train`.
     """
-    cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
-    windowed = window_dataset(record, proto,
-                              tensor_source=_cached_source(cache, proto.sequence))
-    cache.flush()
-    return windowed, cache
+    return split_ids([e["id"] for e in entries if not e["diverged"]],
+                     cfg.train_config())
 
 
-def _build_dataset(cfg: RunConfig, width_ms=None, channels=None):
-    """Window every stored scenario into sequence samples, using the tensor cache.
+def _build_dataset(cfg: RunConfig, width_ms=None, channels=None, entries=None,
+                   raw_ids=frozenset()):
+    """Window stored scenarios into sequence samples, using the tensor cache.
 
-    Returns (training samples, stats dict).
+    ``entries`` picks manifest entries (default: all). A sample keeps its
+    tensors and per-window channel sums, plus the sums of squares if it is
+    in the training split, and drops its windows, so no record outlives its
+    windowing. Samples of the scenarios in ``raw_ids`` keep their windows,
+    over a private copy of their own rows.
+
+    Returns (samples, stats dict).
     """
     proto = cfg.window_protocol(width_ms)
     token = proto.sequence.cache_token()
     if channels:
         token += "-ch:" + ",".join(channels)
+    manifest = read_manifest(cfg.paths.scenario_store)["scenarios"]
+    train_ids = _split(manifest, cfg)[0]
     training = []
     stats = {"scenarios": 0, "diverged": 0, "cache_hits": 0, "cache_misses": 0}
     _ensure_dirs(cfg.paths.adjacency_cache)
-    for record in _iter_records(cfg, channels):
-        windowed, cache = _window_cached(cfg, record, proto, token)
+    for record in _iter_records(cfg, manifest if entries is None else entries, channels):
+        sid = record.scenario_id
+        cache = ScenarioTensorCache(cfg.paths.adjacency_cache, sid, token)
+        windowed = window_dataset(record, proto, copy_rows=sid in raw_ids,
+                                  tensor_source=_cached_source(cache, proto.sequence))
+        cache.flush()
         stats["cache_hits"] += cache.hits
         stats["cache_misses"] += cache.misses
         if windowed.skipped_diverged:
             stats["diverged"] += 1
             continue
         stats["scenarios"] += 1
+        if sid not in raw_ids:
+            for sample in windowed.training:
+                sample.drop_windows(squares=sid in train_ids)
         training.extend(windowed.training)
     if not training:
         raise DataError("scenario store produced no training samples")
@@ -147,14 +158,9 @@ def _checkpoint_path(cfg: RunConfig) -> str:
 
 
 def _test_entries(cfg: RunConfig):
-    """Manifest entries of the test split, from the manifest alone.
-
-    Every scenario that is not diverged yields training samples, so the ids
-    `split_ids` sees here are those `split_dataset` sees in `train`.
-    """
+    """Manifest entries of the test split, from the manifest alone."""
     entries = read_manifest(cfg.paths.scenario_store)["scenarios"]
-    _, _, test_ids = split_ids([e["id"] for e in entries if not e["diverged"]],
-                               cfg.train_config())
+    test_ids = _split(entries, cfg)[2]
     return [e for e in entries if e["id"] in test_ids]
 
 
@@ -264,10 +270,12 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     # `train` filled, their generalization tensors are built here, and the
     # cache is not written back
     test_samples, gen_probs, gen_labels = [], [], []
-    for record in _iter_records(cfg, entries=test_entries):
+    for record in _iter_records(cfg, test_entries):
         cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
         windowed = window_dataset(record, proto, include_generalization=True,
                                   tensor_source=_cached_source(cache, proto.sequence))
+        for sample in windowed.training:
+            sample.drop_windows()
         test_samples.extend(windowed.training)
         if windowed.generalization:
             probs = predict_proba(params, windowed.generalization, std)
@@ -324,22 +332,35 @@ def _selection_range(cfg: RunConfig):
     return t_from, t_to
 
 
-def _collect_tensors(cfg: RunConfig, events=None):
-    """Adjacency tensors of every training window, grouped per event type."""
+def _collect_tensors(cfg: RunConfig):
+    """Adjacency tensors of every training window, grouped per event type,
+    and the channel names.
+
+    The window starts come from each scenario's header line; a scenario is
+    loaded and windowed only when its cache file lacks one of them.
+    """
     proto = cfg.window_protocol()
-    token = proto.sequence.cache_token()
+    seq = proto.sequence
+    token = seq.cache_token()
+    store = cfg.paths.scenario_store
     by_event = {}
     names = None
-    for record in _iter_records(cfg):
-        if record.diverged:
+    for entry in read_manifest(store)["scenarios"]:
+        if entry["diverged"]:
             continue
-        if events is not None and record.event not in events:
-            continue
-        windowed, _ = _window_cached(cfg, record, proto, token)
-        names = record.channel_names
-        bucket = by_event.setdefault(record.event, [])
-        for sample in windowed.training:
-            bucket.extend(sample.tensors)
+        path = os.path.join(store, entry["file"])
+        header = read_scenario_line(path)
+        cache = ScenarioTensorCache(cfg.paths.adjacency_cache, header.scenario_id, token)
+        starts = [t for end in proto.train_end_times(header)
+                  for t in seq.window_starts(end)]
+        tensors = cache.lookup(starts, len(header.channel_names))
+        if tensors is None:
+            windowed = window_dataset(load_scenario(path), proto,
+                                      tensor_source=_cached_source(cache, seq))
+            tensors = [t for sample in windowed.training for t in sample.tensors]
+        cache.flush()  # writes back any miss
+        names = header.channel_names
+        by_event.setdefault(header.event, []).extend(tensors)
     return by_event, names
 
 
@@ -400,14 +421,19 @@ def cmd_select(cfg: RunConfig, args) -> int:
 
 
 def cmd_noise(cfg: RunConfig, args) -> int:
-    params, std, _ = _load_model(cfg)
+    params, std, test_entries = _load_model(cfg)
     _ensure_dirs(cfg.paths.reports)
-    samples, _ = _build_dataset(cfg)
     train_cfg = cfg.train_config()
-    train_s, val_s, test_s = split_dataset(samples, train_cfg)
-
+    # the sweep corrupts the raw rows of the test samples, the augmentation
+    # those of the training samples; they keep private copies of them
+    test_ids = {e["id"] for e in test_entries}
     aug_params = aug_std = None
-    if args.augmented:
+    if not args.augmented:
+        test_s, _ = _build_dataset(cfg, entries=test_entries, raw_ids=test_ids)
+    else:
+        train_ids = _split(read_manifest(cfg.paths.scenario_store)["scenarios"], cfg)[0]
+        samples, _ = _build_dataset(cfg, raw_ids=train_ids | test_ids)
+        train_s, val_s, test_s = split_dataset(samples, train_cfg)
         # corrupt only the training portion; scenario-level splitting puts
         # the noisy copies back into the training fold and keeps validation
         # and test clean

@@ -272,6 +272,32 @@ def build_surrogate(mix: GenerationMix, cfg: SurrogateConfig) -> SurrogateSystem
     )
 
 
+def _duration_ms(n_samples: int, dt: float) -> int:
+    return int(round((n_samples - 1) * dt * 1000.0))
+
+
+@dataclass(frozen=True)
+class ScenarioHeader:
+    """What windowing needs of a stored scenario apart from its samples:
+    enough to place its training windows without loading the trajectory."""
+
+    mix: GenerationMix
+    event: str
+    seed: int
+    dt: float
+    event_ms: int
+    n_samples: int
+    channel_names: tuple
+
+    @property
+    def scenario_id(self) -> str:
+        return f"{self.event}-{self.mix.tag()}"
+
+    @property
+    def duration_ms(self) -> int:
+        return _duration_ms(self.n_samples, self.dt)
+
+
 @dataclass(eq=False)
 class ScenarioRecord:
     """One simulated scenario: trajectory, ground-truth spectrum, label."""
@@ -279,7 +305,7 @@ class ScenarioRecord:
     mix: GenerationMix
     event: str
     seed: int
-    trajectory: np.ndarray          # (n_samples, n_channels)
+    trajectory: np.ndarray          # (n_samples, n_channels), C-ordered
     dt: float
     event_ms: int
     channel_names: tuple
@@ -294,7 +320,7 @@ class ScenarioRecord:
 
     @property
     def duration_ms(self) -> int:
-        return int(round((self.trajectory.shape[0] - 1) * self.dt * 1000.0))
+        return _duration_ms(self.trajectory.shape[0], self.dt)
 
     def _row(self, t_ms: int) -> int:
         return int(round(t_ms / (self.dt * 1000.0)))
@@ -475,6 +501,11 @@ def synthesize_scenario(mix: GenerationMix, event: str, seed: int,
 
     if cfg.snr_db is not None and np.isfinite(cfg.snr_db):
         trajectory = _add_noise(trajectory, system.output_offset, cfg.snr_db, rng)
+    else:
+        # the noise draw is C-ordered, the transpose above is not; windows
+        # are views of these rows, and their statistics must reduce rows in
+        # the same order either way
+        trajectory = np.ascontiguousarray(trajectory)
 
     diverged = not np.isfinite(trajectory).all()
     record = ScenarioRecord(
@@ -540,7 +571,9 @@ class WindowProtocol:
     sample_stride_ms: int = 1000
     unperturbed_range: tuple = (10000, 60000)
 
-    def train_end_times(self, record: ScenarioRecord):
+    def train_end_times(self, record):
+        """End times of a scenario's training samples; ``record`` is a
+        ScenarioRecord or a ScenarioHeader."""
         if record.event == "unperturbed":
             lo, hi = self.unperturbed_range
             lo = max(lo, self.sequence.history_ms())
@@ -577,9 +610,11 @@ class WindowedScenario:
 
 
 def _sample_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
-               tensor_source) -> SequenceSample:
+               tensor_source, copy_rows: bool) -> SequenceSample:
     """One sequence sample ending at ``end_ms``.
 
+    Its windows are read-only views of the record's trajectory or, with
+    ``copy_rows``, of a private copy of the span they cover.
     ``tensor_source`` receives each raw window, offsets included, and returns
     its adjacency tensor; it applies ``SequenceConfig.adjacency_input`` itself
     when it has to build one, so a cached tensor costs no centering.
@@ -591,14 +626,16 @@ def _sample_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
         raise InsufficientHistoryError(
             f"scenario {record.scenario_id} too short for a sequence ending at {end_ms} ms"
         )
-    union = record.trajectory[lo:hi + 1].copy()
+    span = record.trajectory[lo:hi + 1]
+    if copy_rows:
+        span = span.copy()
+    span.flags.writeable = False
     width_rows = record._row(first_start + seq.window_ms - 1) - lo + 1
     windows = []
-    for wend in seq.window_ends(end_ms):
-        w_start = wend - seq.window_ms + 1
+    for w_start in seq.window_starts(end_ms):
         off = record._row(w_start) - lo
         windows.append(TimeSeriesWindow(
-            data=union[off:off + width_rows],
+            data=span[off:off + width_rows],
             dt=record.dt,
             channel_names=record.channel_names,
             t_start=w_start,
@@ -612,7 +649,7 @@ def _sample_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
 
 def window_dataset(record: ScenarioRecord, proto: WindowProtocol,
                    include_generalization: bool = False,
-                   tensor_source=None) -> WindowedScenario:
+                   tensor_source=None, copy_rows: bool = False) -> WindowedScenario:
     """Carve a scenario into labeled training samples (and held-out samples).
 
     Event scenarios yield exactly ``sample_count`` training sequences whose
@@ -620,6 +657,9 @@ def window_dataset(record: ScenarioRecord, proto: WindowProtocol,
     the sweep go to the generalization set only. Diverged records produce
     nothing and are flagged so callers can count the exclusions.
 
+    Each window is a read-only view of ``record.trajectory``, so the samples
+    keep the record's samples alive until they drop their windows; with
+    ``copy_rows`` each sample copies its own span instead.
     ``tensor_source(window)`` maps a raw window to its adjacency tensor and
     does its own centering (``SequenceConfig.adjacency_input``); the default
     builds every tensor.
@@ -629,11 +669,11 @@ def window_dataset(record: ScenarioRecord, proto: WindowProtocol,
     if tensor_source is None:
         seq = proto.sequence
         tensor_source = lambda w: build_adjacency(seq.adjacency_input(w), seq.dmd)  # noqa: E731
-    training = [_sample_at(record, end, proto, tensor_source)
+    training = [_sample_at(record, end, proto, tensor_source, copy_rows)
                 for end in proto.train_end_times(record)]
     generalization = []
     if include_generalization:
-        generalization = [_sample_at(record, end, proto, tensor_source)
+        generalization = [_sample_at(record, end, proto, tensor_source, copy_rows)
                           for end in proto.generalization_end_times(record)]
     return WindowedScenario(training=training, generalization=generalization)
 

@@ -20,7 +20,7 @@ import zlib
 import numpy as np
 
 from .adjacency import tensor_from_bytes, tensor_to_bytes
-from .datagen import GenerationMix, ScenarioRecord
+from .datagen import GenerationMix, ScenarioHeader, ScenarioRecord
 from .errors import ConfigError, DataError
 from .model import ModelDims
 from .training import VARIANTS, Standardizer
@@ -159,6 +159,32 @@ def read_scenario_header(path) -> dict:
         }
 
 
+def read_scenario_line(path) -> ScenarioHeader:
+    """The header line of a scenario file, without reading its trajectory.
+
+    Raises DataError for a malformed header. Nothing is checksummed: a caller
+    that goes on to the trajectory loads it with `load_scenario`.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    try:
+        header = json.loads(line.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != "scenario":
+        raise DataError(f"{path}: not a scenario file")
+    with _header_fields(path):
+        return ScenarioHeader(
+            mix=GenerationMix(*header["mix"]),
+            event=header["event"],
+            seed=int(header["seed"]),
+            dt=float(header["dt"]),
+            event_ms=int(header["event_ms"]),
+            n_samples=int(header["n_samples"]),
+            channel_names=tuple(header["channels"]),
+        )
+
+
 def load_scenario(path) -> ScenarioRecord:
     header, payload, mix = _read_scenario(path)
     with _header_fields(path):
@@ -276,12 +302,26 @@ class ScenarioTensorCache:
         except DataError:
             self.entries = {}
 
+    def _cached(self, t_start: int, n_channels: int):
+        tensor = self.entries.get(t_start)
+        return tensor if tensor is not None and tensor.n == n_channels else None
+
+    def lookup(self, starts, n_channels: int):
+        """The cached tensors of the windows starting at ``starts``, in order,
+        each counted as a hit; None, counting nothing, unless all of them
+        are cached for ``n_channels`` channels."""
+        tensors = [self._cached(t, n_channels) for t in starts]
+        if any(t is None for t in tensors):
+            return None
+        self.hits += len(tensors)
+        return tensors
+
     def source(self, build_fn):
         """A tensor source that serves cached entries and records new ones."""
 
         def fetch(window):
-            cached = self.entries.get(window.t_start)
-            if cached is not None and cached.n == window.n_channels:
+            cached = self._cached(window.t_start, window.n_channels)
+            if cached is not None:
                 self.hits += 1
                 return cached
             self.misses += 1

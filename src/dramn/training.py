@@ -60,26 +60,30 @@ STD_FLOOR = 1e-9
 
 @dataclass(eq=False)
 class Standardizer:
-    """Per-channel z-score transform fitted on training data only."""
+    """Per-channel z-score transform fitted on training data only.
+
+    `fit` pools the samples' per-window channel sums and sums of squares, so
+    it needs no raw window once those are taken.
+    """
 
     mean: np.ndarray
     std: np.ndarray
 
     @classmethod
-    def fit_windows(cls, windows) -> "Standardizer":
-        """Accumulate channel statistics over an iterable of windows."""
+    def fit(cls, samples) -> "Standardizer":
+        """Accumulate channel statistics over the windows of ``samples``:
+        samples in order, each sample's windows oldest first."""
         count = 0
         total = None
         total_sq = None
-        for w in windows:
-            data = w.data
-            if total is None:
-                total = data.sum(axis=0)
-                total_sq = (data * data).sum(axis=0)
-            else:
-                total += data.sum(axis=0)
-                total_sq += (data * data).sum(axis=0)
-            count += data.shape[0]
+        for s in samples:
+            for sums, squares in zip(s.channel_sums, s.channel_squares):
+                if total is None:
+                    total, total_sq = sums.copy(), squares.copy()
+                else:
+                    total += sums
+                    total_sq += squares
+            count += sum(s.rows)
         if count == 0:
             raise DataError("cannot fit a standardizer on zero windows")
         mean = total / count
@@ -403,7 +407,7 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
     """
     spec = get_variant(variant)
     train_s, val_s, test_s = split_dataset(dataset, cfg)
-    std = Standardizer.fit_windows(w for s in train_s for w in s.windows)
+    std = Standardizer.fit(train_s)
 
     m_tr, g_tr, y_tr = stack_inputs(train_s, std, last_only=spec.last_only)
     m_va, g_va, y_va = stack_inputs(val_s, std, last_only=spec.last_only)

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import os
+import shutil
 import struct
+import weakref
 import zlib
 
 import pytest
@@ -19,6 +21,7 @@ from dramn.datagen import (
     window_dataset,
 )
 from dramn.dmd import DmdConfig
+from dramn.errors import DataError
 from dramn.store import (
     MANIFEST_NAME,
     ScenarioTensorCache,
@@ -270,6 +273,76 @@ class TestSelect:
     def test_explicit_k_out_of_range_exit_code(self, pipeline):
         _, cfg_path = pipeline
         assert main(["select", "--config", cfg_path, "--k", "50"]) == 3
+
+
+def count_loads(monkeypatch):
+    """Weak references to the trajectory of every scenario `cli` loads."""
+    loaded = []
+    real = cli.load_scenario
+
+    def counting(path):
+        record = real(path)
+        loaded.append(weakref.ref(record.trajectory))
+        return record
+
+    monkeypatch.setattr(cli, "load_scenario", counting)
+    return loaded
+
+
+class TestLoadsOnlyWhatItReads:
+    """Commands load the scenarios they read and let each record go once it
+    is windowed."""
+
+    def test_no_record_outlives_build_dataset(self, pipeline, monkeypatch):
+        _, cfg_path = pipeline
+        cfg = load_config(cfg_path)
+        loaded = count_loads(monkeypatch)
+        samples, stats = cli._build_dataset(cfg)
+        assert len(loaded) == 12 and stats["scenarios"] == 12
+        assert all(ref() is None for ref in loaded)
+        train_ids = cli._split(read_manifest(cfg.paths.scenario_store)["scenarios"],
+                               cfg)[0]
+        for sample in samples:
+            assert sample.windows is None
+            assert sample.channel_means.shape == (3, 9)
+            if sample.scenario_id in train_ids:
+                assert sample.channel_squares.shape == (3, 9)
+            else:
+                with pytest.raises(DataError, match="dropped its windows"):
+                    sample.channel_squares
+
+    def test_select_reads_tensors_from_the_cache(self, pipeline, tmp_path, monkeypatch):
+        src, _ = pipeline
+        for name in ("scenarios", "cache", "ckpt"):
+            shutil.copytree(src / name, tmp_path / name)
+        cfg_path = demo_config(tmp_path)
+        reports = [tmp_path / "reports" / name
+                   for name in ("node_strength.tsv", "edges.tsv", "node_strength.json")]
+        loaded = count_loads(monkeypatch)
+        assert main(["select", "--config", cfg_path, "--k", "3"]) == 0
+        assert loaded == []
+        warm = [p.read_bytes() for p in reports]
+
+        # a scenario whose cache file is gone is loaded, windowed and cached
+        victim = sorted((tmp_path / "cache").glob("*.adj"))[0]
+        blob = victim.read_bytes()
+        victim.unlink()
+        assert main(["select", "--config", cfg_path, "--k", "3"]) == 0
+        assert len(loaded) == 1
+        assert [p.read_bytes() for p in reports] == warm
+        assert victim.read_bytes() == blob
+
+    def test_noise_loads_only_what_it_windows(self, pipeline, monkeypatch):
+        _, cfg_path = pipeline
+        n_test = len(cli._test_entries(load_config(cfg_path)))
+        assert n_test == 3
+        loaded = count_loads(monkeypatch)
+        assert main(["noise", "--config", cfg_path, "--deterministic"]) == 0
+        assert len(loaded) == n_test
+        del loaded[:]
+        assert main(["noise", "--config", cfg_path, "--deterministic",
+                     "--augmented"]) == 0
+        assert len(loaded) == 12
 
 
 class TestExitCodes:

@@ -27,6 +27,7 @@ from dramn.datagen import (
 )
 from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
 from dramn.errors import ConfigError, DataError, InsufficientHistoryError, LabelingError
+from dramn.training import Standardizer
 
 FAST = SurrogateConfig(n_units=3, include_pq=False, include_line_flows=False,
                        duration_ms=40000, process_noise_std=0.0, snr_db=None)
@@ -347,6 +348,66 @@ class TestWindowing:
             SurrogateConfig(n_units=3, include_pq=False, duration_ms=25000))
         with pytest.raises(InsufficientHistoryError):
             window_dataset(rec, WindowProtocol())
+
+    def test_windows_view_the_trajectory(self):
+        rec = synthesize_scenario(GenerationMix(70, 15, 15), "load_increase", 6, FAST)
+        out = window_dataset(rec, WindowProtocol(), include_generalization=True)
+        for sample in out.training + out.generalization:
+            for w in sample.windows:
+                assert np.shares_memory(w.data, rec.trajectory)
+                with pytest.raises(ValueError, match="read-only"):
+                    w.data[0, 0] = 0.0
+        assert (rec.trajectory[:, 0] != 0.0).all()
+
+    def test_copied_rows_are_private_to_the_sample(self):
+        rec = synthesize_scenario(GenerationMix(70, 15, 15), "load_increase", 6, FAST)
+        out = window_dataset(rec, WindowProtocol(), copy_rows=True)
+        views = window_dataset(rec, WindowProtocol())
+        for sample, view in zip(out.training, views.training):
+            first, last = sample.windows[0].data, sample.windows[-1].data
+            assert not np.shares_memory(first, rec.trajectory)
+            assert np.shares_memory(first, last)  # one span per sample
+            with pytest.raises(ValueError, match="read-only"):
+                last[0, 0] = 0.0
+            for w, v in zip(sample.windows, view.windows):
+                assert same_bits(w.data, v.data)
+
+    @pytest.mark.parametrize("snr_db", [35.0, None])
+    def test_statistics_equal_copy_and_mean_reference(self, snr_db):
+        # `window_dataset` used to copy each sample's span; its means and
+        # the standardizer's statistics keep the bits of those copies
+        cfg = SurrogateConfig(n_units=3, include_pq=True, duration_ms=40000,
+                              snr_db=snr_db)
+        rec = synthesize_scenario(GenerationMix(40, 20, 40), "short_circuit", 6, cfg)
+        assert rec.trajectory.flags.c_contiguous
+        samples = window_dataset(rec, WindowProtocol()).training
+        copies = [[w.data.copy() for w in s.windows] for s in samples]
+        for s, data in zip(samples, copies):
+            assert same_bits(s.channel_means, np.stack([d.mean(axis=0) for d in data]))
+        for s in samples[::2]:
+            s.drop_windows(squares=True)
+        total = total_sq = None
+        for d in (d for data in copies for d in data):
+            if total is None:
+                total, total_sq = d.sum(axis=0), (d * d).sum(axis=0)
+            else:
+                total += d.sum(axis=0)
+                total_sq += (d * d).sum(axis=0)
+        count = sum(d.shape[0] for data in copies for d in data)
+        mean = total / count
+        std = Standardizer.fit(samples)
+        assert same_bits(std.mean, mean)
+        assert same_bits(std.std, np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0)))
+
+    def test_drop_windows_keeps_statistics(self):
+        rec = synthesize_scenario(GenerationMix(70, 15, 15), "load_increase", 6, FAST)
+        sample = window_dataset(rec, WindowProtocol()).training[3]
+        means, squares = sample.channel_means, sample.channel_squares
+        sample.drop_windows()
+        assert sample.windows is None
+        assert sample.rows == (1000,) * 5
+        assert same_bits(sample.channel_means, means)
+        assert same_bits(sample.channel_squares, squares)
 
     def test_diverged_skipped(self):
         rec = synthesize_scenario(GenerationMix(70, 15, 15), "load_increase", 6,

@@ -23,6 +23,7 @@ from dramn.store import (
     manifest_entry,
     read_manifest,
     read_scenario_header,
+    read_scenario_line,
     save_scenario,
     write_manifest,
     write_table,
@@ -54,6 +55,20 @@ class TestScenarioStore:
         path = save_scenario(record, tmp_path)
         entry = read_scenario_header(path)
         assert entry == manifest_entry(record)
+
+    def test_header_line_places_windows_without_the_payload(self, tmp_path, record):
+        path = save_scenario(record, tmp_path)
+        blob = bytearray(Path(path).read_bytes())
+        blob[-3] ^= 0xFF  # only a full load checksums the payload
+        Path(path).write_bytes(bytes(blob))
+        head = read_scenario_line(path)
+        assert (head.scenario_id, head.event, head.seed, head.dt, head.event_ms) == (
+            record.scenario_id, record.event, record.seed, record.dt, record.event_ms)
+        assert head.n_samples == record.trajectory.shape[0]
+        assert head.duration_ms == record.duration_ms
+        assert head.channel_names == record.channel_names
+        with pytest.raises(DataError, match="checksum"):
+            load_scenario(path)
 
     def test_payload_is_a_view_and_the_trajectory_owns_its_copy(self, tmp_path, record):
         path = save_scenario(record, tmp_path)
@@ -128,6 +143,16 @@ class TestTensorCache:
         assert cache2.hits == 1 and cache2.misses == 0
         np.testing.assert_array_equal(t1.layers, t2.layers)
 
+    def test_lookup_is_all_or_nothing(self, tmp_path, record):
+        cache = ScenarioTensorCache(tmp_path, record.scenario_id, "tokL")
+        fetch = self._source(record, cache)
+        built = [fetch(record.window_at(end, 500)) for end in (5000, 5100)]
+        assert cache.lookup([4501, 4601], record.trajectory.shape[1]) == built
+        assert cache.hits == 2
+        assert cache.lookup([4501, 4701], record.trajectory.shape[1]) is None
+        assert cache.lookup([4501], 2) is None  # cached for another width
+        assert (cache.hits, cache.misses) == (2, 2)
+
     def test_token_mismatch_rebuilds(self, tmp_path, record):
         cache = ScenarioTensorCache(tmp_path, record.scenario_id, "tokA")
         fetch = self._source(record, cache)
@@ -170,6 +195,7 @@ class TestTables:
 _BASE_HEADERS = {
     "load_scenario": {"format": "scenario"},
     "read_scenario_header": {"format": "scenario"},
+    "read_scenario_line": {"format": "scenario"},
     "cache": {"format": "adjacency-cache", "scenario": "s", "token": "t"},
     "load_checkpoint": {"format": "checkpoint", "version": 3, "kind": "dramn",
                         "seed": 0, "dims": {"f": 4}},
@@ -204,7 +230,7 @@ class TestMalformedHeaders:
 
     def test_zero_share_mix_is_a_data_error(self, tmp_path, record):
         path = edited_header(save_scenario(record, tmp_path), mix=[0, 50, 50])
-        for reader in (load_scenario, read_scenario_header):
+        for reader in (load_scenario, read_scenario_header, read_scenario_line):
             with pytest.raises(DataError):
                 reader(path)
 

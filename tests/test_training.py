@@ -324,10 +324,15 @@ class TestSplit:
             split_dataset(dataset_of(1, rng), TrainConfig(seed=0))
 
 
+def fit_on(windows):
+    """The standardizer fitted on ``windows``, as one sample."""
+    return Standardizer.fit([SequenceSample(windows=windows, tensors=[], label=0)])
+
+
 class TestStandardizer:
     def test_constant_channel_floored(self):
         windows = [TimeSeriesWindow(data=np.full((10, 2), 3.0), dt=0.001)]
-        std = Standardizer.fit_windows(windows)
+        std = fit_on(windows)
         out = std.transform(np.full((5, 2), 3.0))
         assert np.isfinite(out).all()
         np.testing.assert_array_equal(out, 0.0)
@@ -336,9 +341,9 @@ class TestStandardizer:
         rng = np.random.default_rng(81)
         train_w = [TimeSeriesWindow(data=rng.standard_normal((20, 2)), dt=0.001)
                    for _ in range(3)]
-        std_a = Standardizer.fit_windows(train_w)
+        std_a = fit_on(train_w)
         # wildly different "test" data must not influence the fit
-        std_b = Standardizer.fit_windows(train_w)
+        std_b = fit_on(train_w)
         np.testing.assert_array_equal(std_a.mean, std_b.mean)
         np.testing.assert_array_equal(std_a.std, std_b.std)
 
@@ -347,10 +352,42 @@ class TestStandardizer:
         windows = [TimeSeriesWindow(data=rng.standard_normal((30, 3)) * [1, 5, 0.1]
                                     + [1.0, 60.0, 0.0], dt=0.001)
                    for _ in range(4)]
-        std = Standardizer.fit_windows(windows)
+        std = fit_on(windows)
         z = std.transform(np.concatenate([w.data for w in windows]))
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), 1.0, rtol=1e-9)
+
+    def test_samples_pool_in_order_with_dropped_windows(self):
+        # two samples, uneven window lengths; the second has dropped its
+        # windows after taking its sums of squares
+        rng = np.random.default_rng(82)
+        first = [TimeSeriesWindow(data=rng.standard_normal((n, 3)) + 60.0, dt=0.001)
+                 for n in (7, 11)]
+        second = [TimeSeriesWindow(data=rng.standard_normal((5, 3)) * 4.0, dt=0.001)]
+        dropped = SequenceSample(windows=second, tensors=[], label=0)
+        dropped.drop_windows(squares=True)
+        std = Standardizer.fit([SequenceSample(windows=first, tensors=[], label=1),
+                                dropped])
+        total = total_sq = 0.0
+        for w in first + second:
+            total = total + w.data.sum(axis=0)
+            total_sq = total_sq + (w.data * w.data).sum(axis=0)
+        mean = total / 23
+        assert std.mean.tobytes() == mean.tobytes()
+        assert std.std.tobytes() == np.sqrt(
+            np.maximum(total_sq / 23 - mean * mean, 0.0)).tobytes()
+
+    def test_needs_sums_of_squares(self):
+        sample = SequenceSample(
+            windows=[TimeSeriesWindow(data=np.ones((4, 2)), dt=0.001)],
+            tensors=[], label=0, scenario_id="s", t_end=9)
+        sample.drop_windows()
+        with pytest.raises(DataError, match="dropped its windows"):
+            Standardizer.fit([sample])
+
+    def test_zero_samples(self):
+        with pytest.raises(DataError):
+            Standardizer.fit([])
 
 
 class TestTrainLoop:
