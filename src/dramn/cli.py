@@ -86,13 +86,18 @@ def _slice_record(record, channels):
 
 
 def _iter_records(cfg: RunConfig, entries, channels=None):
-    """The stored scenarios of the manifest ``entries``, in their order."""
+    """The stored scenarios of the manifest ``entries``, in their order.
+
+    The generator drops each record before it loads the next, so a caller
+    that drops it too holds one scenario at a time.
+    """
     store = cfg.paths.scenario_store
     for entry in entries:
         record = load_scenario(os.path.join(store, entry["file"]))
         if channels:
             record = _slice_record(record, channels)
         yield record
+        del record
 
 
 def _cached_source(cache: ScenarioTensorCache, seq):
@@ -137,6 +142,7 @@ def _build_dataset(cfg: RunConfig, width_ms=None, channels=None, entries=None,
         cache = ScenarioTensorCache(cfg.paths.adjacency_cache, sid, token)
         windowed = window_dataset(record, proto, copy_rows=sid in raw_ids,
                                   tensor_source=_cached_source(cache, proto.sequence))
+        del record  # released before the next scenario loads
         cache.flush()
         stats["cache_hits"] += cache.hits
         stats["cache_misses"] += cache.misses
@@ -281,6 +287,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             probs = predict_proba(params, windowed.generalization, std)
             gen_probs.extend(probs.tolist())
             gen_labels.extend(s.label for s in windowed.generalization)
+        # the generalization windows view the record: both are released
+        # before the next scenario loads
+        del record, windowed
     if not test_samples:
         raise DataError("the test scenarios produced no samples")
     report = evaluate_model(params, test_samples, std,

@@ -46,6 +46,11 @@ _OSC_IMAG_TOL = 1e-9
 SCAN_BLOCK = 64
 _SCAN_EXPONENT = 600.0
 
+# Samples per block of synthesis' full-length stages: each works on this
+# many rows (time steps) at a time, so its temporaries stay a fixed size
+# however long the scenario is
+SYNTH_BLOCK = 4096
+
 # Spacing of the held-out generalization sequence end times (ms), before
 # the event and after the training range.
 GENERALIZATION_STRIDE_MS = 1000
@@ -351,27 +356,64 @@ def scenario_seed(master_seed: int, spec: ScenarioSpec) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _propagate(evals, evecs, coef, t_seconds):
-    """States of a diagonalized linear system at the given times (m x len(t))."""
-    return np.real(evecs @ (np.exp(np.outer(evals, t_seconds)) * coef[:, None]))
+def _blocks(n: int, size: int):
+    """(lo, hi) bounds of consecutive blocks of ``size`` samples covering n.
 
-
-def _first_order_scan(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """y[:, n] = x[:, n] + lam * y[:, n - 1] for every row at once, from rest.
-
-    A blocked prefix scan. Inside a block of b samples the closed form is
-    y[k] = lam^k * cumsum_j(lam^-j x[j]) + lam^(k+1) * (end of the previous
-    block), so only the carry from block to block is sequential. The block
-    is SCAN_BLOCK samples unless a factor far from the unit circle would
-    push lam^(+-(b-1)) out of float64's exponent range; then it shrinks, so
-    any damping stays finite.
+    A last block of one sample joins the one before it: numpy multiplies a
+    single column through another BLAS routine than a matrix, which would
+    round that sample differently from a product over the whole signal.
     """
-    rows, n = x.shape
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def _propagate(out, evals, evecs, coef, t_seconds, x_ss=None) -> None:
+    """Write the states of a diagonalized linear system at the given times
+    into ``out`` (m x len(t)), plus the constant state ``x_ss`` if given.
+
+    Works SYNTH_BLOCK times at a time; every column gets the bits of one
+    product over the whole segment.
+    """
+    for lo, hi in _blocks(len(t_seconds), SYNTH_BLOCK):
+        block = np.real(evecs @ (np.exp(np.outer(evals, t_seconds[lo:hi])) * coef[:, None]))
+        if x_ss is None:
+            out[:, lo:hi] = block
+        else:
+            np.add(x_ss[:, None], block, out=out[:, lo:hi])
+
+
+def _scan_block(lam: np.ndarray, n: int) -> int:
+    """Samples per block of `_first_order_scan` for factors ``lam`` over a
+    signal of n samples.
+
+    SCAN_BLOCK, unless a factor far from the unit circle would push
+    lam^(+-(b-1)) out of float64's exponent range; then it shrinks, so any
+    damping stays finite.
+    """
     rate = np.abs(np.log(np.abs(lam))).max()
     b = SCAN_BLOCK
     if rate * (b - 1) > _SCAN_EXPONENT:
         b = 1 + int(_SCAN_EXPONENT / rate)
-    b = min(b, n)
+    return min(b, n)
+
+
+def _first_order_scan(x: np.ndarray, lam: np.ndarray, carry=None, b=None) -> np.ndarray:
+    """y[:, n] = x[:, n] + lam * y[:, n - 1] for every row at once, from rest
+    or, given ``carry``, from y[:, -1] = carry.
+
+    A blocked prefix scan. Inside a block of b samples the closed form is
+    y[k] = lam^k * cumsum_j(lam^-j x[j]) + lam^(k+1) * (end of the previous
+    block), so only the carry from block to block is sequential. b defaults
+    to `_scan_block`. A long signal scanned in pieces gives the bits of one
+    scan over the whole when every piece but the last is a multiple of the
+    whole signal's b, which is passed along with the end of the previous
+    piece as ``carry``.
+    """
+    rows, n = x.shape
+    if b is None:
+        b = _scan_block(lam, n)
     n_blocks = -(-n // b)
     y = np.zeros((rows, n_blocks * b), dtype=np.result_type(x, lam))
     y[:, :n] = x
@@ -382,27 +424,40 @@ def _first_order_scan(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     np.cumsum(y, axis=2, out=y)
     y *= up[:, None, :]
     carry_gain = lam[:, None] * up                   # lam^(k+1)
+    if carry is not None:
+        y[:, 0] += carry[:, None] * carry_gain
     for i in range(1, n_blocks):
         y[:, i] += y[:, i - 1, -1:] * carry_gain
     return y.reshape(rows, n_blocks * b)[:, :n]
 
 
-def _noise_response(system: SurrogateSystem, evals, evecs, cfg: SurrogateConfig,
-                    rng, n_samples: int) -> np.ndarray:
-    """Stochastic load-fluctuation response, exact by linear superposition.
+def _noise_response(states: np.ndarray, system: SurrogateSystem, evals, evecs,
+                    cfg: SurrogateConfig, rng) -> None:
+    """Add the stochastic load-fluctuation response to ``states`` (m x n), in
+    place; exact by linear superposition.
 
     Per-step white acceleration noise is pushed through the diagonalized
     one-step dynamics: each mode is a first-order recursion
     y[n] = u[n] + exp(s dt) y[n-1], computed for all modes at once by
-    `_first_order_scan`.
+    `_first_order_scan`. The (k, n) acceleration is one draw; the modal
+    solve, the scan and the back-transform then run over blocks of about
+    SYNTH_BLOCK samples, a multiple of the scan's own block, each carrying
+    the modal state on from the one before, so every sample gets the bits of
+    one scan over the whole trajectory.
     """
     k = system.a_matrix.shape[0] // 2
-    accel = cfg.process_noise_std * rng.standard_normal((k, n_samples))
-    forcing = np.zeros((2 * k, n_samples))
-    forcing[k:] = accel
-    modal_in = np.linalg.solve(evecs, forcing.astype(complex))
-    modal_out = _first_order_scan(modal_in, np.exp(evals * cfg.dt))
-    return np.real(evecs @ modal_out)
+    n = states.shape[1]
+    accel = cfg.process_noise_std * rng.standard_normal((k, n))
+    lam = np.exp(evals * cfg.dt)
+    b = _scan_block(lam, n)
+    block = max(b, SYNTH_BLOCK // b * b)
+    carry = None
+    for lo, hi in _blocks(n, block):
+        forcing = np.zeros((2 * k, hi - lo), dtype=complex)
+        forcing[k:] = accel[:, lo:hi]
+        modal_out = _first_order_scan(np.linalg.solve(evecs, forcing), lam, carry, b)
+        carry = modal_out[:, -1]
+        states[:, lo:hi] += np.real(evecs @ modal_out)
 
 
 def _saturate(dev: np.ndarray, linear: np.ndarray, cap: np.ndarray) -> np.ndarray:
@@ -410,19 +465,23 @@ def _saturate(dev: np.ndarray, linear: np.ndarray, cap: np.ndarray) -> np.ndarra
 
     Identity inside +-linear, then a smooth tanh roll-off that approaches
     +-cap. Monotone, so any threshold inside the linear zone is crossed by
-    the saturated signal exactly when the raw signal crosses it. Only the
-    samples beyond the linear zone are computed, so a scenario that stays
-    inside it costs two comparisons per sample. Samples inside it are left
-    as they are; the one value that sign(x) * |x| would change, -0.0, turns
-    into +0.0 when synthesis adds the channel offsets.
+    the saturated signal exactly when the raw signal crosses it. Runs over
+    blocks of SYNTH_BLOCK rows, and in each only the samples beyond the
+    linear zone are computed: a block inside it costs two comparisons per
+    sample, and one that saturates throughout needs a few block-sized
+    temporaries, whatever the length of ``dev``. Samples inside the zone
+    are left as they are; the one value that sign(x) * |x| would change,
+    -0.0, turns into +0.0 when synthesis adds the channel offsets.
     """
-    beyond = dev > linear
-    beyond |= dev < -linear
-    if beyond.any():
-        lin = np.broadcast_to(linear, dev.shape)[beyond]
-        span = np.broadcast_to(cap, dev.shape)[beyond] - lin
-        x = dev[beyond]
-        dev[beyond] = np.sign(x) * (lin + span * np.tanh((np.abs(x) - lin) / span))
+    for lo, hi in _blocks(dev.shape[0], SYNTH_BLOCK):
+        block = dev[lo:hi]
+        beyond = block > linear
+        beyond |= block < -linear
+        if beyond.any():
+            lin = np.broadcast_to(linear, block.shape)[beyond]
+            span = np.broadcast_to(cap, block.shape)[beyond] - lin
+            x = block[beyond]
+            block[beyond] = np.sign(x) * (lin + span * np.tanh((np.abs(x) - lin) / span))
     return dev
 
 
@@ -453,23 +512,21 @@ def synthesize_scenario(mix: GenerationMix, event: str, seed: int,
 
     states = np.empty((system.a_matrix.shape[0], n_samples))
     coef0 = np.linalg.solve(evecs, x0.astype(complex))
-    states[:, :event_row + 1] = _propagate(evals, evecs, coef0, t_all[:event_row + 1])
+    _propagate(states[:, :event_row + 1], evals, evecs, coef0, t_all[:event_row + 1])
 
     if event == "load_increase":
         step = cfg.load_step * system.input_vec
         x_ss = -np.linalg.solve(system.a_matrix, step)
-        x_event = states[:, event_row]
-        coef1 = np.linalg.solve(evecs, (x_event - x_ss).astype(complex))
+        coef1 = np.linalg.solve(evecs, (states[:, event_row] - x_ss).astype(complex))
         tail = t_all[event_row + 1:] - t_all[event_row]
-        states[:, event_row + 1:] = x_ss[:, None] + _propagate(evals, evecs, coef1, tail)
+        _propagate(states[:, event_row + 1:], evals, evecs, coef1, tail, x_ss)
     elif event == "short_circuit":
         # the cleared fault leaves the machines swinging (a speed impulse,
         # strongest at the faulted units) and the operating point sagged
         # (converter-heavy mixes recover less of the pre-fault loading)
         clear_row = event_row + int(round(cfg.fault_ms / cfg.ms_per_sample))
-        states[:, event_row + 1:clear_row + 1] = _propagate(
-            evals, evecs, coef0, t_all[event_row + 1:clear_row + 1]
-        )
+        _propagate(states[:, event_row + 1:clear_row + 1], evals, evecs, coef0,
+                   t_all[event_row + 1:clear_row + 1])
         faulted = list(range(min(cfg.fault_units, k)))
         dist = np.array([min(min(abs(i - j), k - abs(i - j)) for j in faulted)
                          for i in range(k)], dtype=float)
@@ -481,17 +538,21 @@ def synthesize_scenario(mix: GenerationMix, event: str, seed: int,
         x_ss = -np.linalg.solve(system.a_matrix, residual)
         coef1 = np.linalg.solve(evecs, (x_clear - x_ss).astype(complex))
         tail = t_all[clear_row + 1:] - t_all[clear_row]
-        states[:, clear_row + 1:] = x_ss[:, None] + _propagate(evals, evecs, coef1, tail)
+        _propagate(states[:, clear_row + 1:], evals, evecs, coef1, tail, x_ss)
     else:
-        states[:, event_row + 1:] = _propagate(evals, evecs, coef0, t_all[event_row + 1:])
+        _propagate(states[:, event_row + 1:], evals, evecs, coef0, t_all[event_row + 1:])
 
     if cfg.process_noise_std > 0.0:
-        states += _noise_response(system, evals, evecs, cfg, rng, n_samples)
+        _noise_response(states, system, evals, evecs, cfg, rng)
 
     slots = cfg.kind_slots()
     lin = np.repeat(np.asarray([cfg.meas_linear[i] for i in slots]), k)
     cap = np.repeat(np.asarray([cfg.meas_cap[i] for i in slots]), k)
-    trajectory = _saturate((system.output_map @ states).T, lin, cap)
+    # one product over the whole trajectory: BLAS picks its kernel by the
+    # matrix size, so a blocked product would round differently
+    trajectory = (system.output_map @ states).T
+    del states
+    trajectory = _saturate(trajectory, lin, cap)
     trajectory += system.output_offset
 
     if event == "short_circuit":
@@ -706,20 +767,25 @@ def subsample_scenarios(items, keep_1_in: int = 20, seed: int = 0,
 def _add_noise(data: np.ndarray, offsets: np.ndarray, snr_db: float, rng):
     """White Gaussian noise scaled per channel to the requested SNR.
 
-    Signal power is measured on the deviation from the channel offset; a
-    channel with zero deviation power falls back to unit power so the noise
-    stays finite. Returns a new array: the scaled draw with ``data`` added
-    into it.
+    Signal power is measured on the deviation from the channel offset, over
+    the whole of ``data`` at once (a blocked mean would round differently);
+    a channel with zero deviation power falls back to unit power so the
+    noise stays finite. Returns a new C-ordered array, filled SYNTH_BLOCK
+    rows at a time with the scaled draw plus ``data``; the draws of the
+    blocks follow each other in the stream as one draw of the whole would.
     """
     dev = data - offsets
     dev *= dev
     p_sig = np.mean(dev, axis=0)
-    del dev  # freed before the draw is allocated
+    del dev  # freed before the output is allocated
     p_sig = np.where(p_sig > 0.0, p_sig, 1.0)
     sigma = np.sqrt(p_sig / (10.0 ** (snr_db / 10.0)))
-    noisy = rng.standard_normal(data.shape)
-    noisy *= sigma
-    noisy += data
+    noisy = np.empty(data.shape)
+    for lo, hi in _blocks(data.shape[0], SYNTH_BLOCK):
+        block = noisy[lo:hi]
+        rng.standard_normal(out=block)
+        block *= sigma
+        block += data[lo:hi]
     return noisy
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import operator
 import os
 import zlib
 
@@ -122,22 +123,45 @@ def save_scenario(record: ScenarioRecord, directory) -> str:
     return path
 
 
-def _read_scenario(path):
-    """Header, payload and mix of a scenario file.
-
-    DataError unless the payload checksum holds, the mix is valid and the
-    payload holds n_samples x channels float64 values.
-    """
-    header, payload = _read_header_and_payload(path)
-    if header.get("format") != "scenario":
+def _scenario_header(path, line: bytes) -> dict:
+    """The header of a scenario file from its first line; DataError unless
+    it is a JSON object of the scenario format."""
+    try:
+        header = json.loads(line.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != "scenario":
         raise DataError(f"{path}: not a scenario file")
-    with _header_fields(path):
-        mix = GenerationMix(*header["mix"])
-        expected = header["n_samples"] * len(header["channels"]) * 8
-    if len(payload) != expected:
-        raise DataError(f"{path}: trajectory payload is {len(payload)} bytes, "
-                        f"expected {expected}")
-    return header, payload, mix
+    return header
+
+
+def _read_scenario(path):
+    """Header, trajectory and mix of a scenario file.
+
+    The payload is read straight into a new (n_samples, channels) float64
+    array, which the caller owns, so a load holds no copy of the file.
+    DataError unless the mix is valid, the payload holds exactly
+    n_samples x channels values and its checksum holds.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise DataError(f"{path}: missing header line")
+        header = _scenario_header(path, line)
+        with _header_fields(path):
+            mix = GenerationMix(*header["mix"])
+            shape = (operator.index(header["n_samples"]), len(header["channels"]))
+        expected = shape[0] * shape[1] * 8
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise DataError(f"{path}: trajectory payload is {size} bytes, "
+                            f"expected {expected}")
+        trajectory = np.empty(shape, dtype="<f8")
+        if fh.readinto(memoryview(trajectory).cast("B")) != expected:
+            raise DataError(f"{path}: file changed while it was read")
+    if zlib.crc32(trajectory) != header.get("crc32"):
+        raise DataError(f"{path}: payload checksum mismatch")
+    return header, trajectory.astype(np.float64, copy=False), mix
 
 
 def read_scenario_header(path) -> dict:
@@ -145,7 +169,7 @@ def read_scenario_header(path) -> dict:
 
     The whole file is read and checked as `load_scenario` checks it, so a
     truncated, corrupted or malformed file raises DataError; the trajectory
-    itself is not decoded.
+    is dropped once its checksum holds.
     """
     header, _, _ = _read_scenario(path)
     with _header_fields(path):
@@ -166,13 +190,7 @@ def read_scenario_line(path) -> ScenarioHeader:
     that goes on to the trajectory loads it with `load_scenario`.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
-    try:
-        header = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != "scenario":
-        raise DataError(f"{path}: not a scenario file")
+        header = _scenario_header(path, fh.readline())
     with _header_fields(path):
         return ScenarioHeader(
             mix=GenerationMix(*header["mix"]),
@@ -186,15 +204,8 @@ def read_scenario_line(path) -> ScenarioHeader:
 
 
 def load_scenario(path) -> ScenarioRecord:
-    header, payload, mix = _read_scenario(path)
+    header, trajectory, mix = _read_scenario(path)
     with _header_fields(path):
-        # astype copies: the record owns its trajectory, and the file buffer
-        # goes when this returns
-        trajectory = (
-            np.frombuffer(payload, dtype="<f8")
-            .reshape(header["n_samples"], len(header["channels"]))
-            .astype(np.float64)
-        )
         spectrum = np.array([complex(re, im) for re, im in header["spectrum"]])
         return ScenarioRecord(
             mix=mix,

@@ -289,6 +289,22 @@ def count_loads(monkeypatch):
     return loaded
 
 
+def live_at_each_load(monkeypatch):
+    """For each scenario `cli` loads, how many of the trajectories it loaded
+    before were still alive when the load began."""
+    loaded, live = [], []
+    real = cli.load_scenario
+
+    def checking(path):
+        live.append(sum(ref() is not None for ref in loaded))
+        record = real(path)
+        loaded.append(weakref.ref(record.trajectory))
+        return record
+
+    monkeypatch.setattr(cli, "load_scenario", checking)
+    return live
+
+
 class TestLoadsOnlyWhatItReads:
     """Commands load the scenarios they read and let each record go once it
     is windowed."""
@@ -310,6 +326,15 @@ class TestLoadsOnlyWhatItReads:
             else:
                 with pytest.raises(DataError, match="dropped its windows"):
                     sample.channel_squares
+
+    def test_each_record_is_released_before_the_next_loads(self, pipeline, monkeypatch):
+        _, cfg_path = pipeline
+        live = live_at_each_load(monkeypatch)
+        cli._build_dataset(load_config(cfg_path))
+        assert live == [0] * 12
+        del live[:]
+        assert main(["evaluate", "--config", cfg_path]) == 0
+        assert live == [0, 0, 0]
 
     def test_select_reads_tensors_from_the_cache(self, pipeline, tmp_path, monkeypatch):
         src, _ = pipeline

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dramn
+import dramn.datagen as datagen
 from dramn.datagen import (
     SCAN_BLOCK,
     GenerationMix,
@@ -24,6 +26,7 @@ from dramn.datagen import (
     _first_order_scan,
     _noise_response,
     _saturate,
+    _scan_block,
 )
 from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
 from dramn.errors import ConfigError, DataError, InsufficientHistoryError, LabelingError
@@ -199,7 +202,8 @@ class TestModalScan:
         system = build_surrogate(GenerationMix(50, 25, 25), cfg)
         evals, evecs = np.linalg.eig(system.a_matrix)
         n = 3 * SCAN_BLOCK + 5
-        out = _noise_response(system, evals, evecs, cfg, np.random.default_rng(2), n)
+        out = np.zeros((6, n))
+        _noise_response(out, system, evals, evecs, cfg, np.random.default_rng(2))
         forcing = np.zeros((6, n))
         forcing[3:] = cfg.process_noise_std * np.random.default_rng(2).standard_normal((3, n))
         step = np.real(evecs @ np.diag(np.exp(evals * cfg.dt)) @ np.linalg.inv(evecs))
@@ -582,6 +586,48 @@ class TestInPlaceMeasurementBits:
         old = synthesize_scenario(mix, "short_circuit", 9, cfg)
         assert new.label == old.label == 1
         assert same_bits(new.trajectory, old.trajectory)
+
+
+class TestBlockedSynthesis:
+    """Synthesis works in blocks of SYNTH_BLOCK rows; the block size changes
+    neither a bit of the trajectory nor, beyond a few blocks, the memory."""
+
+    GROWING = GenerationMix(10, 10, 80)
+    # heavy damping at a 1 ms step: |ln lam| near 15 per sample, so the
+    # modal scan's block shrinks below SCAN_BLOCK
+    FAST_MODES = SurrogateConfig(damping_gain=2e4, duration_ms=30000, event_ms=10000)
+
+    @pytest.mark.parametrize("block", [1000, 10 ** 6])
+    @pytest.mark.parametrize("case", ["growing-load_increase", "growing-short_circuit",
+                                      "fast-modes"])
+    def test_bits_do_not_depend_on_the_block(self, monkeypatch, block, case):
+        if case == "fast-modes":
+            mix, event, cfg = GenerationMix(80, 10, 10), "load_increase", self.FAST_MODES
+            evals = build_surrogate(mix, cfg).spectrum()
+            n = cfg.duration_ms + 1
+            assert 1 < _scan_block(np.exp(evals * cfg.dt), n) < SCAN_BLOCK
+        else:
+            mix, event, cfg = self.GROWING, case.split("-")[1], SurrogateConfig()
+        default = synthesize_scenario(mix, event, 21, cfg)
+        monkeypatch.setattr(datagen, "SYNTH_BLOCK", block)
+        blocked = synthesize_scenario(mix, event, 21, cfg)
+        assert blocked.trajectory.shape == default.trajectory.shape
+        assert blocked.trajectory.flags.c_contiguous
+        assert same_bits(blocked.trajectory, default.trajectory)
+        assert blocked.label == default.label
+
+    @pytest.mark.parametrize("event", ["load_increase", "short_circuit"])
+    def test_peak_memory_is_a_few_trajectories(self, event):
+        # nearly every sample of this mix saturates; synthesis over the
+        # whole array peaked at 7.5 trajectories here
+        tracemalloc.start()
+        try:
+            record = synthesize_scenario(self.GROWING, event, 21, SurrogateConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.label == 1 and not record.diverged
+        assert peak <= 3 * record.trajectory.nbytes
 
 
 class TestDatasetDeterminism:

@@ -3,6 +3,7 @@ import builtins
 import dataclasses
 import json
 import os
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -78,6 +79,19 @@ class TestScenarioStore:
         back = load_scenario(path)
         assert back.trajectory.flags.owndata and back.trajectory.flags.writeable
         assert back.trajectory.dtype == np.float64
+
+    def test_load_reads_the_payload_into_the_trajectory(self, tmp_path, record):
+        # no file-sized buffer beside the trajectory (the earlier reader
+        # held one, then copied it: a peak of twice the trajectory)
+        path = save_scenario(record, tmp_path)
+        tracemalloc.start()
+        try:
+            back = load_scenario(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.trajectory.tobytes() == record.trajectory.tobytes()
+        assert peak <= 1.25 * record.trajectory.nbytes
 
     def test_corruption_detected(self, tmp_path, record):
         path = save_scenario(record, tmp_path)
@@ -236,6 +250,14 @@ class TestMalformedHeaders:
 
     def test_short_payload_is_a_data_error(self, tmp_path, record):
         path = edited_header(save_scenario(record, tmp_path), n_samples=10)
+        for reader in (load_scenario, read_scenario_header):
+            with pytest.raises(DataError, match="payload is"):
+                reader(path)
+
+    def test_trailing_bytes_are_a_data_error(self, tmp_path, record):
+        path = save_scenario(record, tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
         for reader in (load_scenario, read_scenario_header):
             with pytest.raises(DataError, match="payload is"):
                 reader(path)
