@@ -117,11 +117,6 @@ class SequenceSample:
             self._squares = self.channel_squares
         self.windows = None
 
-    @property
-    def layer_stack(self) -> np.ndarray:
-        """Adjacency layers stacked over the sequence (L x n x n x d)."""
-        return np.stack([t.layers for t in self.tensors])
-
 
 @dataclass(frozen=True)
 class SequenceConfig:

@@ -276,10 +276,13 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     # `train` filled, their generalization tensors are built here, and the
     # cache is not written back
     test_samples, gen_probs, gen_labels = [], [], []
+    hits = built = 0
     for record in _iter_records(cfg, test_entries):
         cache = ScenarioTensorCache(cfg.paths.adjacency_cache, record.scenario_id, token)
         windowed = window_dataset(record, proto, include_generalization=True,
                                   tensor_source=_cached_source(cache, proto.sequence))
+        hits += cache.hits
+        built += cache.misses
         for sample in windowed.training:
             sample.drop_windows()
         test_samples.extend(windowed.training)
@@ -292,6 +295,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         del record, windowed
     if not test_samples:
         raise DataError("the test scenarios produced no samples")
+    print(f"windowed {len(test_entries)} test scenarios -> {len(test_samples)} samples, "
+          f"{len(gen_probs)} generalization samples (cache hits: {hits}, "
+          f"tensors built: {built})")
     report = evaluate_model(params, test_samples, std,
                             threshold=cfg.evaluate.threshold)
     rows = [_metric_row("test", report)]

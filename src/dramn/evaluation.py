@@ -15,8 +15,7 @@ import numpy as np
 from .adjacency import SequenceConfig, SequenceSample, build_adjacency
 from .datagen import inject_noise
 from .errors import DataError, UndefinedMetricError
-from .model import ModelDims
-from .training import TrainConfig, get_variant, stack_inputs, train
+from .training import TrainConfig, get_variant, score_samples, train
 
 
 @dataclass(eq=False)
@@ -113,38 +112,16 @@ def evaluate_scores(probs, labels, threshold: float = 0.5) -> MetricsReport:
     return report
 
 
-# Samples scored per forward pass; bounds the memory the trace holds.
-PREDICT_CHUNK = 512
-
-
 def predict_proba(params, samples, standardizer=None, variant: str = "dramn") -> np.ndarray:
-    """Model scores for a list of sequence samples.
+    """Model scores for a list of sequence samples, by `score_samples`: one
+    training batch's worth of samples per forward pass.
 
-    Raises DataError when the samples' step, channel or layer count differs
-    from what the model was built for.
+    Raises DataError when there are no samples, or when their step, channel
+    or layer count differs from what the model was built for.
     """
     if not samples:
         raise DataError("no samples to score")
-    spec = get_variant(variant)
-    out = np.empty(len(samples))
-    for start in range(0, len(samples), PREDICT_CHUNK):
-        part = samples[start:start + PREDICT_CHUNK]
-        means, layers, _ = stack_inputs(part, last_only=spec.last_only)
-        _check_sample_dims(means, layers, params.dims)
-        if standardizer is not None:
-            means = standardizer.transform(means)
-        out[start:start + len(part)] = spec.predict(means, layers, params)
-    return out
-
-
-def _check_sample_dims(means, layers, dims: ModelDims):
-    want = (dims.l_seq, dims.n, dims.n, dims.d)
-    if means.shape[1:] != want[:2] or layers.shape[1:] != want:
-        raise DataError(
-            f"samples of {means.shape[1]} steps x {means.shape[2]} channels with "
-            f"layer stacks {layers.shape[2:]} do not fit a model of {dims.l_seq} "
-            f"steps x {dims.n} channels x {dims.d} layers"
-        )
+    return score_samples(params, samples, standardizer, get_variant(variant))
 
 
 def evaluate_model(params, samples, standardizer=None, variant: str = "dramn",

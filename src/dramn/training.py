@@ -332,14 +332,17 @@ class TrainResult:
 
 
 def stack_inputs(samples, standardizer: Standardizer = None, last_only: bool = False):
-    """Stack samples into (means, layers, labels) arrays for the batched path."""
-    means = np.stack([s.channel_means for s in samples])
-    layers = np.stack([s.layer_stack for s in samples])
+    """Stack samples into (means, layers, labels) arrays for the batched path.
+
+    ``means`` is (B, L, n) and ``layers`` (B, L, n, n, d), both contiguous;
+    with ``last_only`` each sample contributes its newest window only (L=1).
+    """
+    steps = slice(-1, None) if last_only else slice(None)
+    means = np.stack([s.channel_means[steps] for s in samples])
+    layers = np.stack([t.layers for s in samples for t in s.tensors[steps]])
+    layers = layers.reshape(means.shape[:2] + layers.shape[1:])
     if standardizer is not None:
         means = standardizer.transform(means)
-    if last_only:
-        means = means[:, -1:, :]
-        layers = layers[:, -1:, :, :, :]
     labels = np.array([s.label for s in samples], dtype=np.float64)
     return means, layers, labels
 
@@ -396,10 +399,47 @@ def get_variant(name: str) -> Variant:
     return VARIANTS[name]
 
 
+# Samples scored per forward pass: the default training batch, so scoring
+# holds no more of a trace than one training step does.
+PREDICT_CHUNK = 32
+
+
+def score_samples(params, samples, standardizer: Standardizer, spec: Variant) -> np.ndarray:
+    """The probabilities of ``spec``'s model for ``samples``, PREDICT_CHUNK
+    samples per forward pass.
+
+    A sample's probability does not depend on the other samples of its
+    pass, so the chunking changes no bit. Raises DataError when the samples'
+    step, channel or layer count differs from what the model was built for.
+    """
+    out = np.empty(len(samples))
+    for start in range(0, len(samples), PREDICT_CHUNK):
+        part = samples[start:start + PREDICT_CHUNK]
+        means, layers, _ = stack_inputs(part, last_only=spec.last_only)
+        _check_sample_dims(means, layers, params.dims)
+        if standardizer is not None:
+            means = standardizer.transform(means)
+        out[start:start + len(part)] = spec.predict(means, layers, params)
+    return out
+
+
+def _check_sample_dims(means, layers, dims: ModelDims):
+    want = (dims.l_seq, dims.n, dims.n, dims.d)
+    if means.shape[1:] != want[:2] or layers.shape[1:] != want:
+        raise DataError(
+            f"samples of {means.shape[1]} steps x {means.shape[2]} channels with "
+            f"layer stacks {layers.shape[2:]} do not fit a model of {dims.l_seq} "
+            f"steps x {dims.n} channels x {dims.d} layers"
+        )
+
+
 def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
           variant: str = "dramn") -> TrainResult:
     """Fit a model variant with shuffled mini-batches and early stopping.
 
+    Each mini-batch is stacked from its own samples when it is drawn, and
+    the validation loss is scored `PREDICT_CHUNK` samples at a time, so the
+    arrays held at once are those of one batch, whatever the split sizes.
     Keeps the parameters from the best-validation epoch. Stops once the
     validation loss has not improved for `early_stop_patience` epochs
     (patience 0 stops after the first non-improving epoch). Strictly
@@ -408,12 +448,11 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
     spec = get_variant(variant)
     train_s, val_s, test_s = split_dataset(dataset, cfg)
     std = Standardizer.fit(train_s)
+    y_va = np.array([s.label for s in val_s], dtype=np.float64)
 
-    m_tr, g_tr, y_tr = stack_inputs(train_s, std, last_only=spec.last_only)
-    m_va, g_va, y_va = stack_inputs(val_s, std, last_only=spec.last_only)
-
-    _, l_seq, n = m_tr.shape
-    dims = ModelDims(n=n, f=embed_dim, h=hidden_dim, d=g_tr.shape[-1], l_seq=l_seq)
+    m0, g0, _ = stack_inputs(train_s[:1], last_only=spec.last_only)
+    _, l_seq, n = m0.shape
+    dims = ModelDims(n=n, f=embed_dim, h=hidden_dim, d=g0.shape[-1], l_seq=l_seq)
     params = spec.init(dims, cfg.seed)
 
     state = AdamWState.init(params)
@@ -429,16 +468,17 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
         order = rng.permutation(n_train)
         loss_sum = 0.0
         for start in range(0, n_train, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+            batch = [train_s[i] for i in order[start:start + cfg.batch_size]]
+            means, layers, labels = stack_inputs(batch, std, last_only=spec.last_only)
             try:
-                losses, grads = spec.gradients(m_tr[idx], g_tr[idx], params, y_tr[idx])
+                losses, grads = spec.gradients(means, layers, params, labels)
             except NumericalFailureError as exc:
                 raise NumericalFailureError(
                     f"epoch {epoch}, batch at sample {start}: {exc}"
                 ) from exc
             adamw_step(params, grads, state, cfg)
             loss_sum += float(losses.sum())
-        val_loss = mae_batch(spec.predict(m_va, g_va, params), y_va)
+        val_loss = mae_batch(score_samples(params, val_s, std, spec), y_va)
         wall_ms = (time.perf_counter() - t0) * 1e3
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n_train,
                                   val_loss=val_loss, wall_ms=wall_ms))

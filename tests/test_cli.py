@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import weakref
@@ -149,6 +150,23 @@ class TestEvaluate:
         assert any(l.startswith("generalization\t") for l in lines)
         payload = json.loads((tmp_path / "reports" / "metrics.json").read_text())
         assert "test" in payload and "generalization" in payload
+
+    def test_prints_what_it_windowed(self, pipeline, capsys):
+        # the test samples' windows hit the cache `train` filled; every
+        # generalization window's tensor is built here
+        _, cfg_path = pipeline
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg_path]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        match = re.fullmatch(r"windowed (\d+) test scenarios -> (\d+) samples, "
+                             r"(\d+) generalization samples "
+                             r"\(cache hits: (\d+), tensors built: (\d+)\)", line)
+        assert match, line
+        scenarios, samples, generalization, hits, built = map(int, match.groups())
+        assert scenarios == len(cli._test_entries(load_config(cfg_path)))
+        assert samples == 11 * scenarios
+        assert generalization > 0
+        assert (hits, built) == (3 * samples, 3 * generalization)
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         cfg_path = demo_config(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from dramn.evaluation import (
     predict_proba,
 )
 from dramn.model import ModelDims, init_params
-from dramn.training import VARIANTS
+from dramn.training import PREDICT_CHUNK, VARIANTS, Standardizer, stack_inputs
 
 
 def pairwise_auroc(probs, labels):
@@ -157,3 +159,38 @@ class TestPredictProba:
         samples = random_samples(np.random.default_rng(5), n=4, l_seq=3)
         with pytest.raises(ConfigError):
             predict_proba(init_params(dims, 5), samples, variant="transformer")
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_chunks_give_the_bits_of_single_samples(self, variant):
+        # paper dimensions; the last chunk is a partial one
+        spec = VARIANTS[variant]
+        dims = ModelDims(n=20, l_seq=1 if spec.last_only else 5)
+        samples = random_samples(np.random.default_rng(6), n=20, l_seq=5,
+                                 count=3 * PREDICT_CHUNK + 5)
+        std = Standardizer.fit(samples)
+        params = spec.init(dims, 6)
+        probs = predict_proba(params, samples, std, variant)
+        singles = np.concatenate([predict_proba(params, [s], std, variant)
+                                  for s in samples])
+        means, layers, _ = stack_inputs(samples, std, last_only=spec.last_only)
+        whole = spec.predict(means, layers, params)
+        assert probs.tobytes() == singles.tobytes() == whole.tobytes()
+
+    def test_peak_memory_is_one_chunk_of_trace(self):
+        dims = ModelDims(n=20, f=16, h=16)
+        samples = random_samples(np.random.default_rng(7), n=20, l_seq=5,
+                                 count=4 * PREDICT_CHUNK)
+        for s in samples:
+            s.drop_windows()  # the channel sums are taken before tracing
+        params = init_params(dims, 7)
+
+        def peak(part):
+            tracemalloc.start()
+            try:
+                predict_proba(params, part)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one forward pass over all four chunks peaks near four chunks' trace
+        assert peak(samples) < 2 * peak(samples[:PREDICT_CHUNK])

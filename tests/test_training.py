@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from dramn.model import (
     init_params,
 )
 from dramn.training import (
+    PREDICT_CHUNK,
+    VARIANTS,
     AdamWState,
     Standardizer,
     TrainConfig,
@@ -420,6 +424,36 @@ class TestTrainLoop:
         got = mae_batch(forward_trace_batch(m, g, result.params).p, y)
         assert got == pytest.approx(min(h.val_loss for h in result.history),
                                     abs=1e-12)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_val_loss_is_the_full_batch_mae(self, variant):
+        # the validation split spans two scoring chunks
+        rng = np.random.default_rng(92)
+        data = dataset_of(30, rng, per_scenario=4)
+        cfg = TrainConfig(epochs=4, early_stop_patience=4, seed=6, val_fraction=0.5)
+        result = train(data, cfg, embed_dim=8, hidden_dim=8, variant=variant)
+        assert len(result.val_samples) > PREDICT_CHUNK
+        spec = VARIANTS[variant]
+        m, g, y = stack_inputs(result.val_samples, result.standardizer,
+                               last_only=spec.last_only)
+        got = mae_batch(spec.predict(m, g, result.params), y)
+        assert got == min(h.val_loss for h in result.history)
+
+    def test_peak_memory_is_below_the_split_stack(self):
+        # paper-sized samples (n=20, d=5, L=5), nine batches of 32
+        dims = ModelDims(n=20, f=4, h=4, d=5, l_seq=5)
+        data = dataset_of(100, np.random.default_rng(96), dims=dims, per_scenario=4)
+        cfg = TrainConfig(epochs=1, seed=9)
+        n_train = len(split_dataset(data, cfg)[0])
+        assert n_train >= 8 * cfg.batch_size
+        split_stack = n_train * dims.l_seq * dims.n * dims.n * dims.d * 8
+        tracemalloc.start()
+        try:
+            train(data, cfg, embed_dim=dims.f, hidden_dim=dims.h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < split_stack
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(93)
