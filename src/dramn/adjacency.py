@@ -170,7 +170,7 @@ def mean_centered(window: TimeSeriesWindow) -> TimeSeriesWindow:
     """Remove each channel's temporal mean; a fully static window is kept raw
     so the decomposition still has its single constant mode to work with."""
     centered = window.data - window.data.mean(axis=0)
-    if not np.abs(centered).max() > 0.0:
+    if not centered.any():
         return window
     return TimeSeriesWindow(
         data=centered, dt=window.dt,
@@ -180,18 +180,28 @@ def mean_centered(window: TimeSeriesWindow) -> TimeSeriesWindow:
 
 def layer_participation(phi: np.ndarray) -> np.ndarray:
     """Mutual participation: M[i, j] = sum_k |phi_ik| * |phi_jk|."""
-    a = np.abs(phi)
+    return _participation(np.abs(phi))
+
+
+def _participation(a: np.ndarray) -> np.ndarray:
     return a @ a.T
 
 
-def layer_coupling(phi: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+# Keeps the coupling layer's cosine denominators away from zero.
+COUPLING_EPS = 1e-8
+
+
+def layer_coupling(phi: np.ndarray, eps: float = COUPLING_EPS) -> np.ndarray:
     """Cosine similarity of zero-mean magnitude profiles, in [-1, 1].
 
     The denominators carry an epsilon so channels with flat magnitude
     profiles (e.g. a single retained mode) map to 0 instead of dividing
     by zero.
     """
-    v = np.abs(phi)
+    return _coupling(np.abs(phi), eps)
+
+
+def _coupling(v: np.ndarray, eps: float) -> np.ndarray:
     centered = v - v.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
     return (centered @ centered.T) / np.outer(norms + eps, norms + eps)
@@ -292,14 +302,16 @@ def build_adjacency(window: TimeSeriesWindow, cfg: DmdConfig) -> AdjacencyTensor
 
     The layers are written into one C-contiguous n x n x 5 array, the layout
     ``np.stack`` of the five matrices gives: the model's layer mixing
-    rounds differently on any other layout.
+    rounds differently on any other layout. Layers 1 and 2 share one
+    ``|phi|``.
     """
     result = dmd(window, cfg)
     phi, lam = result.modes, result.eigenvalues
     n = phi.shape[0]
+    mag = np.abs(phi)
     layers = np.empty((n, n, N_LAYERS))
-    layers[:, :, 0] = layer_participation(phi)
-    layers[:, :, 1] = layer_coupling(phi)
+    layers[:, :, 0] = _participation(mag)
+    layers[:, :, 1] = _coupling(mag, COUPLING_EPS)
     layers[:, :, 2] = layer_phase(phi)
     layers[:, :, 3] = layer_growth(phi, lam)
     layers[:, :, 4] = layer_energy(phi, lam, result.window_len)

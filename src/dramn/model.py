@@ -14,6 +14,9 @@ per-window channel means instead of full windows.
 The four gates are stored gate-major, in i, f, o, g order: ``w_x`` is
 (4, F, H), ``w_h`` is (4, H, H) and ``b`` is (4, H), so gate k reads
 ``w_x[k]``, ``w_h[k]`` and ``b[k]``, and one step takes two stacked matmuls.
+A step accumulates the pre-activations and the cell state in place and
+applies the sigmoid once, in place, to the fused i/f/o block; the bits are
+those of three separate per-gate sigmoids and out-of-place sums.
 """
 
 from __future__ import annotations
@@ -113,10 +116,17 @@ class GcnParams(_ParamTree):
 def _sigmoid(x):
     """Logistic function without overflow: exp only ever sees -|x|.
 
-    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, in one pass.
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, in one pass. The
+    temporaries are reused in place and ``x`` is left untouched; the bits
+    are those of ``e = exp(-|x|)``, ``where(x >= 0, 1, e) / (1 + e)``.
     """
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    ex = np.asarray(np.abs(x))  # abs of a 0-d array is a scalar, which out= refuses
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    out = np.where(x >= 0, 1.0, ex)
+    ex += 1.0
+    out /= ex
+    return out
 
 
 def _init_family(cls, dims: ModelDims, seed: int, salt: int, core):
@@ -180,13 +190,20 @@ def zero_gradients(params) -> dict:
     return {k: np.zeros_like(v) for k, v in params.tree().items()}
 
 
+def _pool(means: np.ndarray, params) -> np.ndarray:
+    return params.conv_scale * means + params.conv_shift
+
+
+def _embed(pooled: np.ndarray, params) -> np.ndarray:
+    return pooled[..., None] * params.proj_w + params.proj_b
+
+
 def compress_means(means: np.ndarray, params) -> np.ndarray:
     """Embed pooled channel values: scale/shift then project 1 -> F.
 
     ``means`` has shape (..., n); the result appends an F axis.
     """
-    pooled = params.conv_scale * means + params.conv_shift
-    return pooled[..., None] * params.proj_w + params.proj_b
+    return _embed(_pool(means, params), params)
 
 
 @dataclass(eq=False)
@@ -219,8 +236,8 @@ def forward_trace_batch(means: np.ndarray, layers, params: ModelParams,
     """
     means = np.asarray(means, dtype=np.float64)
     b, l, n = means.shape
-    pooled = params.conv_scale * means + params.conv_shift
-    xhat = compress_means(means, params)
+    pooled = _pool(means, params)
+    xhat = _embed(pooled, params)
 
     geff = None
     if not identity_graph:
@@ -239,14 +256,17 @@ def forward_trace_batch(means: np.ndarray, layers, params: ModelParams,
             gt = geff[:, t]
             xt = gt @ xh
             ht = gt @ h
-        z = xt[:, None] @ params.w_x + ht[:, None] @ params.w_h + params.b[:, None]
-        i, f, o = (_sigmoid(z[:, k]) for k in range(3))
+        z = xt[:, None] @ params.w_x
+        z += ht[:, None] @ params.w_h
+        z += params.b[:, None]
+        i, f, o = _sigmoid(z[:, :3]).swapaxes(0, 1)
         g = np.tanh(z[:, 3])
         xt_l.append(xt)
         ht_l.append(ht)
         hp_l.append(h)
         cp_l.append(c)
-        c = f * c + i * g
+        c = f * c
+        c += i * g
         tc = np.tanh(c)
         h = o * tc
         gates_l.append({"i": i, "f": f, "o": o, "g": g})
@@ -267,8 +287,8 @@ def gcn_forward_trace_batch(means: np.ndarray, layers: np.ndarray, params: GcnPa
     """Baseline forward: embed the last window, convolve once, pool, read out."""
     means = np.asarray(means, dtype=np.float64)
     last = means[:, -1, :]
-    pooled = params.conv_scale * last + params.conv_shift
-    xhat = compress_means(last, params)
+    pooled = _pool(last, params)
+    xhat = _embed(pooled, params)
     layers = np.asarray(layers, dtype=np.float64)
     geff = layers[:, -1] @ params.alpha
     xt = geff @ xhat

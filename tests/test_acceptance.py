@@ -47,6 +47,8 @@ from dramn.model import ModelDims, forward_trace_batch, init_params
 from dramn.selection import build_report, top_k
 from dramn.training import TrainConfig, backward_batch, train
 
+pytestmark = pytest.mark.acceptance
+
 ACCEPT_SEED = 11
 
 

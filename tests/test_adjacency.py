@@ -21,7 +21,7 @@ from dramn.adjacency import (
 )
 from dramn.datagen import GenerationMix, ScenarioRecord, WindowProtocol, window_dataset
 from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
-from dramn.errors import DataError, InsufficientHistoryError
+from dramn.errors import DataError, DegenerateWindowError, InsufficientHistoryError
 
 
 def brute_force_energy(rho, length):
@@ -429,6 +429,35 @@ class TestMeanCentered:
     def test_constant_window_kept_raw(self):
         w = TimeSeriesWindow(data=np.full((10, 2), 3.0), dt=0.001)
         assert mean_centered(w) is w
+        w = TimeSeriesWindow(data=np.tile([3.0, -60.0, 0.0], (10, 1)), dt=0.001)
+        assert mean_centered(w) is w
+
+    def test_one_varying_channel_is_centered(self):
+        data = np.tile([3.0, -60.0, 0.0], (10, 1))
+        data[:, 1] += np.arange(10.0)
+        w = TimeSeriesWindow(data=data, dt=0.001)
+        c = mean_centered(w)
+        assert c is not w
+        np.testing.assert_array_equal(c.data[:, [0, 2]], 0.0)
+        np.testing.assert_array_equal(c.data[:, 1], np.arange(10.0) - 4.5)
+
+    def test_overflowing_mean_raises(self):
+        w = TimeSeriesWindow(data=np.full((4, 2), 1e308), dt=0.001)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateWindowError):
+            mean_centered(w)
+
+    def test_nan_mean_raises(self):
+        # On a contiguous column the sum is pairwise, so +inf and -inf
+        # partial sums meet and the mean is NaN; such a window is as
+        # undecomposable as one whose mean overflows.
+        col = np.zeros(16)
+        col[[0, 8]], col[[1, 9]] = 1e308, -1e308
+        data = np.asfortranarray(np.column_stack([col, np.arange(16.0)]))
+        w = TimeSeriesWindow(data=data, dt=0.001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(w.data.mean(axis=0)[0])
+            with pytest.raises(DegenerateWindowError):
+                mean_centered(w)
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from dramn.model import (
     GCN_PARAM_ORDER,
     ModelDims,
     PARAM_ORDER,
+    ForwardTrace,
+    _sigmoid,
     compress_means,
     forward_trace_batch,
     gcn_forward_trace_batch,
@@ -238,6 +242,111 @@ class TestIdentityGraphReduction:
         via_tensor = forward_trace_batch(means, eye_layers, params).p
         via_flag = forward_trace_batch(means, None, params, identity_graph=True).p
         np.testing.assert_allclose(via_tensor, via_flag, atol=1e-12)
+
+
+def reference_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_forward_trace(means, layers, params, identity_graph):
+    """Frozen forward of the per-gate form: three separate ``exp(-|x|)``
+    sigmoids, out-of-place pre-activations and ``c = f*c + i*g``. The
+    backward's own reference runs the live forward, so only this pins the
+    forward's arithmetic."""
+    means = np.asarray(means, dtype=np.float64)
+    b, l, n = means.shape
+    pooled = params.conv_scale * means + params.conv_shift
+    xhat = pooled[..., None] * params.proj_w + params.proj_b
+    geff = None if identity_graph else np.asarray(layers) @ params.alpha
+    h = np.zeros((b, n, params.dims.h))
+    c = np.zeros((b, n, params.dims.h))
+    steps = {k: [] for k in ("xt", "ht", "h_prev", "c_prev", "gates", "tanh_c")}
+    for t in range(l):
+        xh = np.ascontiguousarray(xhat[:, t])
+        xt, ht = (xh, h) if identity_graph else (geff[:, t] @ xh, geff[:, t] @ h)
+        z = xt[:, None] @ params.w_x + ht[:, None] @ params.w_h + params.b[:, None]
+        i, f, o = (reference_sigmoid(z[:, k]) for k in range(3))
+        g = np.tanh(z[:, 3])
+        for key, value in (("xt", xt), ("ht", ht), ("h_prev", h), ("c_prev", c)):
+            steps[key].append(value)
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        steps["gates"].append({"i": i, "f": f, "o": o, "g": g})
+        steps["tanh_c"].append(tc)
+    score = (h @ params.readout_w).mean(axis=1) + params.readout_b
+    return ForwardTrace(means=means, layers=None if identity_graph else layers,
+                        pooled=pooled, xhat=xhat, geff=geff, h_last=h, score=score,
+                        p=reference_sigmoid(score), **steps)
+
+
+def assert_same_bits(got, want, where):
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_bits(got[key], want[key], f"{where}[{key}]")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_same_bits(g, w, f"{where}[{k}]")
+    elif want is None:
+        assert got is None, where
+    else:
+        assert got.shape == want.shape and got.dtype == want.dtype, where
+        assert got.tobytes() == want.tobytes(), where
+
+
+class TestForwardBits:
+    @pytest.mark.parametrize("n,f,h,l_seq", [(5, 12, 7, 4), (20, 64, 32, 5)])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    @pytest.mark.parametrize("identity_graph", [False, True])
+    def test_every_trace_field_matches_per_gate_reference(self, n, f, h, l_seq, batch,
+                                                           identity_graph):
+        dims = ModelDims(n=n, f=f, h=h, d=5, l_seq=l_seq)
+        params = init_params(dims, n + batch)
+        rng = np.random.default_rng(100 + batch)
+        means = 3.0 * rng.standard_normal((batch, l_seq, n))
+        layers = rng.standard_normal((batch, l_seq, n, n, 5))
+        got = forward_trace_batch(means, None if identity_graph else layers, params,
+                                  identity_graph=identity_graph)
+        want = reference_forward_trace(means, layers, params, identity_graph)
+        for field in dataclasses.fields(ForwardTrace):
+            assert_same_bits(getattr(got, field.name), getattr(want, field.name),
+                             field.name)
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 36.8, -36.8, 709.0, -709.0,
+               746.0, -746.0, 1e308, -1e308]
+
+    def test_special_values_bit_for_bit(self):
+        x = np.array(self.SPECIAL)
+        before = x.tobytes()
+        got = _sigmoid(x)
+        assert got.tobytes() == reference_sigmoid(x).tobytes()
+        assert x.tobytes() == before
+
+    def test_fused_gate_view_leaves_its_input_alone(self):
+        # The step reads z[:, 3] after the gates, so the strided i/f/o view
+        # must come back unchanged, and each gate must get its own bits.
+        rng = np.random.default_rng(40)
+        z = 40.0 * rng.standard_normal((7, 4, 5, 6))
+        z.reshape(-1)[:len(self.SPECIAL)] = self.SPECIAL
+        before = z.tobytes()
+        got = _sigmoid(z[:, :3])
+        assert z.tobytes() == before
+        assert got.tobytes() == reference_sigmoid(z[:, :3]).tobytes()
+        for k in range(3):
+            assert got[:, k].tobytes() == reference_sigmoid(z[:, k]).tobytes()
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_zero_d_input(self, value):
+        x = np.array(value)
+        got = _sigmoid(x)
+        assert np.shape(got) == ()
+        assert np.asarray(got).tobytes() == np.asarray(reference_sigmoid(x)).tobytes()
+        assert x.tobytes() == np.array(value).tobytes()
 
 
 class TestInitParams:
