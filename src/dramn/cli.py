@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .adjacency import build_adjacency
+from .adjacency import build_tensors
 from .config import RunConfig, load_config
 from .datagen import (
     ScenarioSpec,
@@ -101,9 +101,9 @@ def _iter_records(cfg: RunConfig, entries, channels=None):
 
 
 def _cached_source(cache: ScenarioTensorCache, seq):
-    """A tensor source over ``cache`` that centers and decomposes a raw
-    window only on a miss."""
-    return cache.source(lambda w: build_adjacency(seq.adjacency_input(w), seq.dmd))
+    """A tensor source over ``cache`` that centers and decomposes raw
+    windows only on a miss, all of a call's misses in one stacked build."""
+    return cache.source(lambda windows: build_tensors(windows, seq.dmd))
 
 
 def _split(entries, cfg: RunConfig):

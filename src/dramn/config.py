@@ -64,6 +64,10 @@ class DmdSection:
     rank: int = 5
     svd_rel_tol: float = 1e-10
 
+    def __post_init__(self):
+        # rejected when the config loads, not at the first window
+        DmdConfig(rank=self.rank, svd_rel_tol=self.svd_rel_tol)
+
 
 @dataclass(frozen=True)
 class ModelSection:

@@ -12,6 +12,11 @@ Measured channels emulate per-unit bus voltage (offset 1.0 p.u.), frequency
 (offset 60 Hz), and per-unit P/Q deviations. Two disturbance events are
 supported: a sustained +10% load step and a 50 ms short-circuit that clamps
 the faulted units' voltage readings before restoring them.
+
+`window_dataset` cuts every window of a scenario's samples first and asks
+its tensor source for all of their tensors in one call, so the tensors a
+scenario lacks are built a `WINDOW_CHUNK` stack at a time
+(`adjacency.build_tensors`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjacency import SequenceConfig, SequenceSample, build_adjacency
+from .adjacency import SequenceConfig, SequenceSample, build_tensors
 from .dmd import TimeSeriesWindow
 from .errors import (
     ConfigError,
@@ -670,15 +675,12 @@ class WindowedScenario:
     skipped_diverged: bool = False
 
 
-def _sample_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
-               tensor_source, copy_rows: bool) -> SequenceSample:
-    """One sequence sample ending at ``end_ms``.
+def _windows_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
+                copy_rows: bool) -> list:
+    """The windows of the sequence sample ending at ``end_ms``, oldest first.
 
-    Its windows are read-only views of the record's trajectory or, with
+    They are read-only views of the record's trajectory or, with
     ``copy_rows``, of a private copy of the span they cover.
-    ``tensor_source`` receives each raw window, offsets included, and returns
-    its adjacency tensor; it applies ``SequenceConfig.adjacency_input`` itself
-    when it has to build one, so a cached tensor costs no centering.
     """
     seq = proto.sequence
     first_start = end_ms - seq.history_ms() + 1
@@ -701,11 +703,7 @@ def _sample_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
             channel_names=record.channel_names,
             t_start=w_start,
         ))
-    tensors = [tensor_source(w) for w in windows]
-    return SequenceSample(
-        windows=windows, tensors=tensors, label=record.label,
-        scenario_id=record.scenario_id, t_end=end_ms,
-    )
+    return windows
 
 
 def window_dataset(record: ScenarioRecord, proto: WindowProtocol,
@@ -721,22 +719,27 @@ def window_dataset(record: ScenarioRecord, proto: WindowProtocol,
     Each window is a read-only view of ``record.trajectory``, so the samples
     keep the record's samples alive until they drop their windows; with
     ``copy_rows`` each sample copies its own span instead.
-    ``tensor_source(window)`` maps a raw window to its adjacency tensor and
-    does its own centering (``SequenceConfig.adjacency_input``); the default
-    builds every tensor.
+    ``tensor_source(windows)`` maps the raw windows of every sample, oldest
+    first and sample by sample, to their adjacency tensors in one call, and
+    does its own centering; the default builds every tensor with
+    `build_tensors`.
     """
     if record.diverged:
         return WindowedScenario(training=[], generalization=[], skipped_diverged=True)
     if tensor_source is None:
-        seq = proto.sequence
-        tensor_source = lambda w: build_adjacency(seq.adjacency_input(w), seq.dmd)  # noqa: E731
-    training = [_sample_at(record, end, proto, tensor_source, copy_rows)
-                for end in proto.train_end_times(record)]
-    generalization = []
+        dmd_cfg = proto.sequence.dmd
+        tensor_source = lambda windows: build_tensors(windows, dmd_cfg)  # noqa: E731
+    ends = proto.train_end_times(record)
+    n_train = len(ends)
     if include_generalization:
-        generalization = [_sample_at(record, end, proto, tensor_source, copy_rows)
-                          for end in proto.generalization_end_times(record)]
-    return WindowedScenario(training=training, generalization=generalization)
+        ends = ends + proto.generalization_end_times(record)
+    windows = [_windows_at(record, end, proto, copy_rows) for end in ends]
+    tensors = iter(tensor_source([w for sample in windows for w in sample]))
+    samples = [SequenceSample(windows=sample, tensors=[next(tensors) for _ in sample],
+                              label=record.label, scenario_id=record.scenario_id,
+                              t_end=end)
+               for end, sample in zip(ends, windows)]
+    return WindowedScenario(training=samples[:n_train], generalization=samples[n_train:])
 
 
 def subsample_scenarios(items, keep_1_in: int = 20, seed: int = 0,

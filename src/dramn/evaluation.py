@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import SequenceConfig, SequenceSample, build_adjacency
+from .adjacency import SequenceConfig, SequenceSample, build_tensors
 from .datagen import inject_noise
 from .errors import DataError, UndefinedMetricError
 from .training import TrainConfig, get_variant, score_samples, train
@@ -136,10 +136,8 @@ def _noisy_copy(sample: SequenceSample, snr_db: float, seq_cfg: SequenceConfig,
     """Inject noise into every raw window and rebuild its adjacency tensor."""
     windows = [inject_noise(w, snr_db, seed=seed + 31 * k)
                for k, w in enumerate(sample.windows)]
-    tensors = [build_adjacency(seq_cfg.adjacency_input(w), seq_cfg.dmd)
-               for w in windows]
     return SequenceSample(
-        windows=windows, tensors=tensors, label=sample.label,
+        windows=windows, tensors=build_tensors(windows, seq_cfg.dmd), label=sample.label,
         scenario_id=sample.scenario_id, t_end=sample.t_end,
     )
 

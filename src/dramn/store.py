@@ -328,18 +328,30 @@ class ScenarioTensorCache:
         return tensors
 
     def source(self, build_fn):
-        """A tensor source that serves cached entries and records new ones."""
+        """A tensor source that serves cached entries and records new ones.
 
-        def fetch(window):
-            cached = self._cached(window.t_start, window.n_channels)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-            tensor = build_fn(window)
-            self.entries[window.t_start] = tensor
+        It maps a list of windows to their tensors: each cached one is a hit,
+        each other start a miss, and ``build_fn`` gets the missed windows in
+        one list. A start repeated after its miss is a hit, as it would be
+        once the first was recorded.
+        """
+
+        def fetch(windows):
+            tensors, missed = [], {}
+            for w in windows:
+                tensor = self._cached(w.t_start, w.n_channels)
+                if tensor is None and w.t_start not in missed:
+                    missed[w.t_start] = w
+                else:
+                    self.hits += 1
+                tensors.append(tensor)
+            if not missed:
+                return tensors
+            self.misses += len(missed)
+            built = dict(zip(missed, build_fn(list(missed.values()))))
+            self.entries.update(built)
             self._dirty = True
-            return tensor
+            return [built[w.t_start] if t is None else t for t, w in zip(tensors, windows)]
 
         return fetch
 

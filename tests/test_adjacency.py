@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dramn.adjacency as adjacency
+import dramn.dmd as dmd_module
 from dramn.adjacency import (
+    WINDOW_CHUNK,
     AdjacencyTensor,
     N_LAYERS,
     SequenceConfig,
     build_adjacency,
+    build_tensors,
     energy_factor,
     layer_coupling,
     layer_energy,
@@ -19,9 +23,22 @@ from dramn.adjacency import (
     tensor_from_bytes,
     tensor_to_bytes,
 )
-from dramn.datagen import GenerationMix, ScenarioRecord, WindowProtocol, window_dataset
-from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
-from dramn.errors import DataError, DegenerateWindowError, InsufficientHistoryError
+from dramn.datagen import (
+    GenerationMix,
+    ScenarioRecord,
+    SurrogateConfig,
+    WindowProtocol,
+    synthesize_scenario,
+    window_dataset,
+)
+from dramn.dmd import DmdConfig, TimeSeriesWindow, WindowStack, dmd
+from dramn.errors import (
+    DataError,
+    DegenerateWindowError,
+    InsufficientHistoryError,
+    NumericalFailureError,
+    ZeroMatrixError,
+)
 
 
 def brute_force_energy(rho, length):
@@ -215,6 +232,14 @@ class TestNormalize:
         t = normalize_layers(raw)
         np.testing.assert_allclose(t.layers[:, :, 1], [[-1.0, 0.25], [0.25, 0.125]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", [0, N_LAYERS - 1])
+    def test_non_finite_entry_raises(self, bad, layer):
+        raw = np.random.default_rng(18).standard_normal((3, 3, N_LAYERS))
+        raw[2, 1, layer] = bad
+        with pytest.raises(NumericalFailureError, match="non-finite entries"):
+            normalize_layers(raw)
+
 
 def lti_window(rng, n=3, steps=200, radius=0.95, offset=None):
     n_pairs = n // 2
@@ -273,16 +298,22 @@ def reference_normalize(raw):
     return out
 
 
+def lone_dmd(window, cfg):
+    """One window's decomposition as (modes, eigenvalues, r_eff)."""
+    [result] = dmd(WindowStack.of(window), cfg)
+    return result.modes[0], result.eigenvalues[0], result.r_eff
+
+
 def reference_build(window, cfg):
     """Reference for `build_adjacency`: `np.stack` of the five layers."""
-    result = dmd(window, cfg)
+    phi, lam, _ = lone_dmd(window, cfg)
     raw = np.stack(
         [
-            layer_participation(result.modes),
-            layer_coupling(result.modes),
-            layer_phase(result.modes),
-            layer_growth(result.modes, result.eigenvalues),
-            layer_energy(result.modes, result.eigenvalues, result.window_len),
+            layer_participation(phi),
+            layer_coupling(phi),
+            layer_phase(phi),
+            layer_growth(phi, lam),
+            layer_energy(phi, lam, window.n_samples),
         ],
         axis=-1,
     )
@@ -319,6 +350,231 @@ class TestBuildAdjacencyBits:
             t = normalize_layers(raw)
             assert t.layers.tobytes() == reference_normalize(raw).tobytes()
             assert t.layers.flags.c_contiguous
+
+
+def frozen_build(window, cfg):
+    """The build of one window as it stood before stacking, frozen here as
+    the reference: centering as `mean_centered` did it, exact DMD of the
+    window alone, the five layers and per-layer peak scaling. Returns the
+    n x n x 5 layers and raises what that build raised."""
+    data = window.data
+    centered = data - data.mean(axis=0)
+    if centered.any():
+        data = TimeSeriesWindow(data=centered, dt=window.dt).data
+    x = data.T
+    x1, x2 = x[:, :-1], x[:, 1:]
+    u, s, vt = np.linalg.svd(x1, full_matrices=False)
+    if not s[0] > 0.0:
+        raise ZeroMatrixError("all-zero snapshot matrix: no mode exists")
+    keep = min(cfg.rank, int(np.count_nonzero(s > cfg.svd_rel_tol * s[0])))
+    u_r, s_r, v_r = u[:, :keep], s[:keep], vt[:keep].T
+    a = (u_r.T @ x2 @ v_r) / s_r
+    lam, w = np.linalg.eig(a)
+    scale = np.linalg.norm(a)
+    worst = float(np.linalg.norm(a @ w - w * lam, axis=0).max())
+    if worst > 1e-8 * max(scale, np.finfo(float).tiny):
+        raise NumericalFailureError(
+            f"eigen residual {worst:.3e} exceeds 1e-08 * ||A|| = {1e-8 * scale:.3e}")
+    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
+    w, lam = w[:, order], lam[order]
+    phi = ((x2 @ v_r) / s_r) @ w
+    if not (np.isfinite(phi).all() and np.isfinite(lam).all()):
+        raise NumericalFailureError("decomposition produced non-finite modes or eigenvalues")
+    mag = np.abs(phi)
+    dev = mag - mag.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(dev, axis=1)
+    ang = np.angle(phi)
+    c, sn = np.cos(ang).mean(axis=1), np.sin(ang).mean(axis=1)
+    g = np.log(np.maximum(np.abs(lam), 1e-12))
+    g[np.abs(g) < 1e-12] = 0.0
+    e = np.minimum([energy_factor(abs(l), data.shape[0]) for l in lam], 1e290)
+    n = phi.shape[0]
+    layers = np.empty((n, n, N_LAYERS))
+    layers[:, :, 0] = mag @ mag.T
+    layers[:, :, 1] = (dev @ dev.T) / np.outer(norms + 1e-8, norms + 1e-8)
+    layers[:, :, 2] = np.outer(c, c) + np.outer(sn, sn)
+    layers[:, :, 3] = np.real((phi * g) @ phi.conj().T)
+    layers[:, :, 4] = np.real((phi * e) @ phi.conj().T)
+    if not np.isfinite(layers).all():
+        raise NumericalFailureError("layer stack contains non-finite entries")
+    peak = np.abs(layers).max(axis=(0, 1))
+    layers /= np.where(peak > 0.0, peak, 1.0)
+    return layers
+
+
+def real_modes_window(rng, n, steps=300):
+    """min(n, 5) decaying modes with distinct real rates: a window whose
+    eigenvalues come out all real, so `np.linalg.eig` types it real."""
+    m = min(n, 5)
+    z = rng.standard_normal(m) * np.linspace(0.97, 0.6, m) ** np.arange(steps)[:, None]
+    return TimeSeriesWindow(data=z @ rng.standard_normal((m, n)) + 1.0, dt=0.001)
+
+
+def rank_one_window(rng, n, steps=300):
+    """One decaying oscillation on every channel: rank 1 after centering."""
+    t = np.arange(steps)
+    s = 0.97 ** t * np.cos(0.7 * t)
+    return TimeSeriesWindow(data=np.outer(s, rng.standard_normal(n)) + 2.0, dt=0.001)
+
+
+class TestStackedBuild:
+    """Every tensor of a stacked build has, by `tobytes()`, the bits of
+    `frozen_build` on its own window, whatever else shares its stack."""
+
+    @pytest.mark.parametrize("mix, event, seed", [
+        (GenerationMix(50, 25, 25), "short_circuit", 11),
+        (GenerationMix(20, 40, 40), "load_increase", 12),
+        (GenerationMix(34, 33, 33), "unperturbed", 13),
+    ])
+    def test_paper_scenario_windows(self, mix, event, seed):
+        record = synthesize_scenario(mix, event, seed, SurrogateConfig())
+        proto = WindowProtocol()
+        out = window_dataset(record, proto, include_generalization=True)
+        assert len(out.training) == 11
+        assert len(out.generalization) == len(proto.generalization_end_times(record))
+        for sample in out.training + out.generalization:
+            for w, t in zip(sample.windows, sample.tensors):
+                assert t.source_window == w.t_start and t.layers.flags.c_contiguous
+                assert t.layers.tobytes() == frozen_build(w, proto.sequence.dmd).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 20])
+    @pytest.mark.parametrize("chunk", [1, 3, WINDOW_CHUNK])
+    def test_mixed_stack(self, monkeypatch, n, chunk):
+        rng = np.random.default_rng(40 + n)
+        windows = [lti_window(rng, n=n, steps=300, offset=1.0) for _ in range(8)]
+        static = TimeSeriesWindow(data=np.tile(np.arange(1.0, n + 1), (300, 1)), dt=0.001)
+        windows[1:1] = [static]
+        windows[4:4] = [rank_one_window(rng, n)]
+        windows[6:6] = [real_modes_window(rng, n)]
+        windows = [TimeSeriesWindow(data=w.data, dt=w.dt, t_start=10 * k)
+                   for k, w in enumerate(windows)]
+        cfg = DmdConfig()
+        # the real window shares its retained count with oscillating ones
+        assert lone_dmd(mean_centered(windows[6]), cfg)[1].dtype == np.float64
+        assert lone_dmd(mean_centered(windows[0]), cfg)[2] == min(n, 5)
+        assert lone_dmd(windows[1], cfg)[2] == lone_dmd(mean_centered(windows[4]), cfg)[2] == 1
+        monkeypatch.setattr(adjacency, "WINDOW_CHUNK", chunk)
+        tensors = build_tensors(windows, cfg)
+        assert [t.source_window for t in tensors] == [w.t_start for w in windows]
+        for w, t in zip(windows, tensors):
+            want = frozen_build(w, cfg).tobytes()
+            assert t.layers.flags.c_contiguous and t.layers.tobytes() == want
+            assert build_adjacency(mean_centered(w), cfg).layers.tobytes() == want
+
+    def test_group_results_keep_each_window_s_own_types(self):
+        # np.linalg.eig types a stack complex if any eigenvalue in it is;
+        # the all-real window must still get its own real modes
+        rng = np.random.default_rng(44)
+        windows = [mean_centered(lti_window(rng, n=6, steps=300, offset=1.0))
+                   for _ in range(3)]
+        windows.insert(1, mean_centered(real_modes_window(rng, 6)))
+        stack = WindowStack(data=np.stack([w.data for w in windows]), t_starts=(0, 1, 2, 3))
+        cfg = DmdConfig()
+        groups = [(np.arange(4)[r.index].tolist(), r) for r in dmd(stack, cfg)]
+        assert sorted(k for index, _ in groups for k in index) == [0, 1, 2, 3]
+        for index, result in groups:
+            for j, k in enumerate(index):
+                phi, lam, _ = lone_dmd(windows[k], cfg)
+                assert result.modes[j].dtype == phi.dtype
+                assert result.modes[j].tobytes() == phi.tobytes()
+                assert result.eigenvalues[j].tobytes() == lam.tobytes()
+        assert lone_dmd(windows[1], cfg)[0].dtype == np.float64
+
+
+STEPS = 16
+
+
+def _nan_mean_window():
+    """Finite samples whose channel-0 mean is NaN: the column is contiguous,
+    so its sum is pairwise and +inf meets -inf."""
+    col = np.zeros(STEPS)
+    col[[0, 8]], col[[1, 9]] = 1e308, -1e308
+    data = np.asfortranarray(np.column_stack([col] + [np.arange(STEPS, dtype=float)] * 3))
+    return TimeSeriesWindow(data=data, dt=0.001)
+
+
+def _overflowing_window(rng):
+    """Centers to finite samples, but its leading singular value overflows."""
+    sign = (-1.0) ** np.arange(STEPS)[:, None]
+    return TimeSeriesWindow(data=5e307 * sign * rng.uniform(0.9, 1.0, (STEPS, 4)), dt=0.001)
+
+
+class TestStackedErrors:
+    """A failing window inside a stack raises what it raises alone, and of
+    several the first in window order is the one reported."""
+
+    BAD = {
+        "nan_mean": lambda rng: _nan_mean_window(),
+        "all_zero": lambda rng: TimeSeriesWindow(data=np.zeros((STEPS, 4)), dt=0.001),
+        "non_finite_svd": _overflowing_window,
+    }
+
+    @staticmethod
+    def _raised(fn, *args):
+        with np.errstate(all="ignore"):
+            with pytest.raises((DataError, NumericalFailureError)) as exc:
+                fn(*args)
+        return type(exc.value), str(exc.value)
+
+    def _alone(self, window, cfg):
+        want = self._raised(build_tensors, [window], cfg)
+        assert self._raised(lambda: build_adjacency(mean_centered(window), cfg)) == want
+        return want
+
+    def _windows(self, rng):
+        return [lti_window(rng, n=4, steps=STEPS, offset=1.0) for _ in range(10)]
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("at", [0, 3, WINDOW_CHUNK - 1, WINDOW_CHUNK])
+    def test_lone_failure(self, bad, at):
+        rng = np.random.default_rng(50)
+        windows = self._windows(rng)
+        windows[at] = self.BAD[bad](rng)
+        cfg = DmdConfig()
+        want = self._alone(windows[at], cfg)
+        assert self._raised(build_tensors, windows, cfg) == want
+
+    def test_frozen_build_raises_the_same(self):
+        # the overflowing window is left out: the frozen build ran out of
+        # retained values there and raised a bare ValueError
+        cfg = DmdConfig()
+        for bad in ("nan_mean", "all_zero"):
+            window = self.BAD[bad](np.random.default_rng(52))
+            assert self._alone(window, cfg) == self._raised(frozen_build, window, cfg)
+
+    def test_later_stage_failure_of_an_earlier_window_wins(self, monkeypatch):
+        # a one-mode reduced operator stands in for a window that passes the
+        # SVD and fails after it, which real data rarely does; the all-zero
+        # window after it fails the whole stack's SVD first
+        real_eig_small = dmd_module.eig_small
+
+        def eig_small(a_tilde):
+            if a_tilde.shape[-1] == 1:
+                raise NumericalFailureError("one-mode operator")
+            return real_eig_small(a_tilde)
+
+        monkeypatch.setattr(dmd_module, "eig_small", eig_small)
+        rng = np.random.default_rng(53)
+        windows = self._windows(rng)
+        windows[2] = rank_one_window(rng, 4, steps=STEPS)
+        windows[5] = self.BAD["all_zero"](rng)
+        cfg = DmdConfig()
+        want = self._alone(windows[2], cfg)
+        assert want == (NumericalFailureError, "one-mode operator")
+        assert self._raised(build_tensors, windows, cfg) == want
+
+    @pytest.mark.parametrize("first, second", [
+        ("all_zero", "nan_mean"), ("all_zero", "non_finite_svd"), ("nan_mean", "non_finite_svd"),
+        ("non_finite_svd", "all_zero"), ("non_finite_svd", "nan_mean"),
+    ])
+    def test_first_failure_in_window_order_wins(self, first, second):
+        rng = np.random.default_rng(51)
+        windows = self._windows(rng)
+        windows[2], windows[5] = self.BAD[first](rng), self.BAD[second](rng)
+        cfg = DmdConfig()
+        want = self._alone(windows[2], cfg)
+        assert want != self._alone(windows[5], cfg)
+        assert self._raised(build_tensors, windows, cfg) == want
 
 
 class TestInvariantProperties:

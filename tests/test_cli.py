@@ -233,18 +233,19 @@ class TestTensorSource:
             sample_count=3,
         )
         centered = []
-        real_mean_centered = adjacency.mean_centered
-        monkeypatch.setattr(adjacency, "mean_centered",
-                            lambda w: centered.append(w) or real_mean_centered(w))
+        real_centered = adjacency._centered
+        monkeypatch.setattr(adjacency, "_centered",
+                            lambda data, out=None: centered.append(data)
+                            or real_centered(data, out))
 
         def window_once():
             cache = ScenarioTensorCache(tmp_path, record.scenario_id, "tok")
             cached = cli._cached_source(cache, proto.sequence)
             received = []
 
-            def source(w):
-                received.append(w)
-                return cached(w)
+            def source(windows):
+                received.extend(windows)
+                return cached(windows)
 
             windowed = window_dataset(record, proto, tensor_source=source)
             cache.flush()
@@ -396,6 +397,13 @@ class TestExitCodes:
 
     def test_missing_config(self):
         assert main(["generate", "--config", "/does/not/exist.json"]) == 2
+
+    def test_rank_beyond_the_dense_eigensolver(self, tmp_path, capsys):
+        # 40 > MAX_SMALL_EIG: refused before any scenario is generated
+        cfg_path = demo_config(tmp_path, dmd={"rank": 40})
+        assert main(["generate", "--config", cfg_path]) == 2
+        assert "rank must be in [1, 32], got 40" in capsys.readouterr().err
+        assert not (tmp_path / "scenarios").exists()
 
     def test_missing_manifest(self, tmp_path):
         cfg_path = demo_config(tmp_path)

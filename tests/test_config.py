@@ -31,6 +31,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"dmd": {"rnak": 3}})
 
+    @pytest.mark.parametrize("rank", [0, 33, 40])
+    def test_rank_outside_the_eigensolver_range(self, rank):
+        with pytest.raises(ConfigError):
+            config_from_dict({"dmd": {"rank": rank}})
+
     def test_unknown_event(self):
         with pytest.raises(ConfigError):
             config_from_dict({"data": {"events": ["meteor_strike"]}})

@@ -28,7 +28,7 @@ from dramn.datagen import (
     _saturate,
     _scan_block,
 )
-from dramn.dmd import DmdConfig, TimeSeriesWindow, dmd
+from dramn.dmd import DmdConfig, TimeSeriesWindow, WindowStack, dmd
 from dramn.errors import ConfigError, DataError, InsufficientHistoryError, LabelingError
 from dramn.training import Standardizer
 
@@ -302,14 +302,28 @@ class TestSurrogateFidelity:
         w = rec.window_at(2000, 1000)
         deviations = TimeSeriesWindow(data=w.data - rec.channel_offsets,
                                       dt=rec.dt, t_start=w.t_start)
-        res = dmd(deviations, DmdConfig(rank=m, svd_rel_tol=1e-12))
+        [res] = dmd(WindowStack.of(deviations), DmdConfig(rank=m, svd_rel_tol=1e-12))
         assert res.r_eff == m
         want = sorted(np.abs(np.exp(rec.generator_spectrum * rec.dt)))
-        got = sorted(np.abs(res.eigenvalues))
+        got = sorted(np.abs(res.eigenvalues[0]))
         assert max(abs(g - w_) for g, w_ in zip(got, want)) <= 1e-5
 
 
 class TestWindowing:
+    def test_peak_memory_of_a_paper_scenario(self):
+        # the 295 tensors are about half the trajectory; the stacked build
+        # adds one buffer of WINDOW_CHUNK centered windows and its SVD
+        record = synthesize_scenario(GenerationMix(50, 25, 25), "short_circuit", 11,
+                                     SurrogateConfig())
+        tracemalloc.start()
+        try:
+            out = window_dataset(record, WindowProtocol(), include_generalization=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 5 * (len(out.training) + len(out.generalization)) == 295
+        assert peak <= 1.5 * record.trajectory.nbytes
+
     def test_event_scenario_yields_eleven(self):
         rec = synthesize_scenario(GenerationMix(70, 15, 15), "load_increase", 6,
                                   SurrogateConfig(n_units=3, include_pq=False))

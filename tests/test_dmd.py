@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from dramn.dmd import (
     DmdConfig,
     TimeSeriesWindow,
+    WindowStack,
     build_snapshots,
     dmd,
     dmd_modes,
@@ -16,6 +19,25 @@ from dramn.errors import ConfigError, DegenerateWindowError, ZeroMatrixError
 
 def window_from(data, dt=0.001, **kw):
     return TimeSeriesWindow(data=np.asarray(data, dtype=float), dt=dt, **kw)
+
+
+# The helpers take and give stacks; these look at one matrix or window.
+
+def lone_svd(x1, rank, rel_tol):
+    """(U_r, S_r, V_r) of one matrix: its stack of one's only group."""
+    [(_, u, s, v)] = truncated_svd(np.asarray(x1, dtype=float)[None], rank, rel_tol)
+    return u[0], s[0], v[0]
+
+
+def lone_eig(a):
+    w, lam = eig_small(np.asarray(a)[None])
+    return w[0], lam[0]
+
+
+def lone_dmd(window, cfg):
+    """One window's result, without the stack axis."""
+    [res] = dmd(WindowStack.of(window), cfg)
+    return replace(res, modes=res.modes[0], eigenvalues=res.eigenvalues[0])
 
 
 def random_stable_system(rng, n, radius=1.1):
@@ -91,20 +113,20 @@ class TestBuildSnapshots:
 
 class TestTruncatedSvd:
     def test_identity(self):
-        u, s, v = truncated_svd(np.eye(3), rank=2, rel_tol=1e-10)
+        u, s, v = lone_svd(np.eye(3), rank=2, rel_tol=1e-10)
         np.testing.assert_allclose(s, [1.0, 1.0])
         np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-12)
 
     def test_relative_cutoff(self):
-        u, s, v = truncated_svd(np.diag([3.0, 1e-20]), rank=5, rel_tol=1e-12)
+        u, s, v = lone_svd(np.diag([3.0, 1e-20]), rank=5, rel_tol=1e-12)
         assert s.shape == (1,)
         np.testing.assert_allclose(s, [3.0])
 
     def test_against_full_svd(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 6))
-        u, s, v = truncated_svd(x, rank=3, rel_tol=1e-12)
+        u, s, v = lone_svd(x, rank=3, rel_tol=1e-12)
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
         # independent reference: eigendecomposition of the Gram matrix
         gram_evals = np.sort(np.linalg.eigvalsh(x @ x.T))[::-1]
@@ -115,25 +137,48 @@ class TestTruncatedSvd:
 
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrixError):
-            truncated_svd(np.zeros((3, 5)), rank=2, rel_tol=1e-10)
+            lone_svd(np.zeros((3, 5)), rank=2, rel_tol=1e-10)
 
     def test_bad_rank(self):
         with pytest.raises(ConfigError):
-            truncated_svd(np.eye(2), rank=0, rel_tol=1e-10)
+            lone_svd(np.eye(2), rank=0, rel_tol=1e-10)
+
+
+class TestStackedForms:
+    def test_helpers_take_stacks(self):
+        with pytest.raises(ValueError):
+            truncated_svd(np.eye(3), rank=2, rel_tol=1e-10)
+        with pytest.raises(ValueError):
+            eig_small(np.eye(3))
+
+    def test_svd_groups_by_retained_count(self):
+        rng = np.random.default_rng(8)
+        full = rng.standard_normal((4, 9))
+        low = np.outer(rng.standard_normal(4), rng.standard_normal(9))
+        x = np.stack([full, low, 2.0 * full, low + 0.0])
+        groups = truncated_svd(x, rank=3, rel_tol=1e-10)
+        assert [g[0].tolist() for g in groups] == [[1, 3], [0, 2]]
+        for index, u, s, v in groups:
+            for j, k in enumerate(index):
+                want = lone_svd(x[k], rank=3, rel_tol=1e-10)
+                for got, ref in zip((u[j], s[j], v[j]), want):
+                    assert got.tobytes() == ref.tobytes()
+        [(index, u, s, v)] = truncated_svd(x[[0, 2]], rank=3, rel_tol=1e-10)
+        assert index == slice(None) and u.shape == (2, 4, 3) and v.shape == (2, 9, 3)
 
 
 class TestReducedOperator:
     def test_static_data_gives_identity(self):
         rng = np.random.default_rng(0)
         x1 = rng.standard_normal((3, 8))
-        u, s, v = truncated_svd(x1, rank=3, rel_tol=1e-12)
+        u, s, v = lone_svd(x1, rank=3, rel_tol=1e-12)
         a_tilde = reduced_operator(u, s, v, x1)
         np.testing.assert_allclose(a_tilde, np.eye(3), atol=1e-10)
 
     def test_scalar_dynamics(self):
         rng = np.random.default_rng(1)
         x1 = rng.standard_normal((3, 8))
-        u, s, v = truncated_svd(x1, rank=3, rel_tol=1e-12)
+        u, s, v = lone_svd(x1, rank=3, rel_tol=1e-12)
         a_tilde = reduced_operator(u, s, v, 2.0 * x1)
         np.testing.assert_allclose(a_tilde, 2.0 * np.eye(3), atol=1e-10)
 
@@ -142,7 +187,7 @@ class TestReducedOperator:
         a = np.array([[0.9, 0.2], [-0.1, 0.7]])
         data = trajectory(a, rng.standard_normal(2), 40)
         x1, x2 = data[:-1].T, data[1:].T
-        u, s, v = truncated_svd(x1, rank=2, rel_tol=1e-12)
+        u, s, v = lone_svd(x1, rank=2, rel_tol=1e-12)
         a_tilde = reduced_operator(u, s, v, x2)
         got = np.sort_complex(np.linalg.eigvals(a_tilde))
         want = np.sort_complex(np.linalg.eigvals(a))
@@ -151,14 +196,14 @@ class TestReducedOperator:
 
 class TestEigSmall:
     def test_diagonal(self):
-        w, lam = eig_small(np.diag([0.5, 0.9]))
+        w, lam = lone_eig(np.diag([0.5, 0.9]))
         np.testing.assert_allclose(lam, [0.9, 0.5])
 
     def test_rotation_spectrum(self):
         omega = 0.7
         rot = np.array([[np.cos(omega), -np.sin(omega)],
                         [np.sin(omega), np.cos(omega)]])
-        _, lam = eig_small(rot)
+        _, lam = lone_eig(rot)
         want = {complex(np.cos(omega), np.sin(omega)),
                 complex(np.cos(omega), -np.sin(omega))}
         for z in lam:
@@ -167,24 +212,24 @@ class TestEigSmall:
     def test_double_root_companion(self):
         # companion matrix of z^2 - z + 0.25, double root at 0.5
         comp = np.array([[1.0, -0.25], [1.0, 0.0]])
-        _, lam = eig_small(comp)
+        _, lam = lone_eig(comp)
         np.testing.assert_allclose(lam, [0.5, 0.5], atol=1e-6)
 
     def test_ordering_deterministic(self):
-        _, lam = eig_small(np.diag([0.3, -0.9, 0.9]))
+        _, lam = lone_eig(np.diag([0.3, -0.9, 0.9]))
         # equal moduli: descending real part breaks the tie
         np.testing.assert_allclose(lam, [0.9, -0.9, 0.3])
 
     def test_residual_contract(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6))
-        w, lam = eig_small(a)
+        w, lam = lone_eig(a)
         res = np.linalg.norm(a @ w - w * lam, axis=0)
         assert res.max() <= 1e-8 * np.linalg.norm(a)
 
     def test_rejects_large(self):
         with pytest.raises(ValueError):
-            eig_small(np.eye(33))
+            lone_eig(np.eye(33))
 
     @staticmethod
     def reference_order(lam):
@@ -212,7 +257,7 @@ class TestEigSmall:
 
     def test_order_matches_reference_sort(self):
         for a in self._operators():
-            w, lam = eig_small(a)
+            w, lam = lone_eig(a)
             lam0, w0 = np.linalg.eig(a)
             order = self.reference_order(lam0)
             assert lam.tobytes() == lam0[order].tobytes()
@@ -222,14 +267,14 @@ class TestEigSmall:
 class TestDmdModes:
     def test_scalar_system(self):
         vals = np.array([[0.5 ** k] for k in range(10)])
-        res = dmd(window_from(vals), DmdConfig(rank=1))
+        res = lone_dmd(window_from(vals), DmdConfig(rank=1))
         assert res.r_eff == 1
         np.testing.assert_allclose(res.eigenvalues, [0.5], atol=1e-10)
 
     def test_decoupled_modes_align_with_axes(self):
         a = np.diag([0.9, 0.4])
         data = trajectory(a, np.array([1.0, 1.0]), 30)
-        res = dmd(window_from(data), DmdConfig(rank=2))
+        res = lone_dmd(window_from(data), DmdConfig(rank=2))
         np.testing.assert_allclose(sorted(np.abs(res.eigenvalues)), [0.4, 0.9],
                                    atol=1e-9)
         for col, lam in zip(res.modes.T, res.eigenvalues):
@@ -241,7 +286,7 @@ class TestDmdModes:
         rng = np.random.default_rng(9)
         col = rng.standard_normal(3)
         data = np.tile(col, (12, 1))
-        res = dmd(window_from(data), DmdConfig(rank=3))
+        res = lone_dmd(window_from(data), DmdConfig(rank=3))
         np.testing.assert_allclose(res.eigenvalues, [1.0], atol=1e-10)
         x2 = data[1:].T
         # single mode spans the (rank-1) column space of the data
@@ -263,7 +308,7 @@ class TestDmdPipeline:
         rng = np.random.default_rng(12)
         a = random_stable_system(rng, 3, radius=0.95)
         data = trajectory(a, rng.standard_normal(3), 200)
-        res = dmd(window_from(data), DmdConfig(rank=3))
+        res = lone_dmd(window_from(data), DmdConfig(rank=3))
         want = sorted(np.abs(np.linalg.eigvals(a)))
         got = sorted(np.abs(res.eigenvalues))
         np.testing.assert_allclose(got, want, atol=1e-6)
@@ -271,7 +316,7 @@ class TestDmdPipeline:
 
     def test_constant_window_single_unit_mode(self):
         w = window_from(np.full((50, 3), 2.5))
-        res = dmd(w, DmdConfig(rank=5))
+        res = lone_dmd(w, DmdConfig(rank=5))
         assert res.r_eff == 1
         np.testing.assert_allclose(res.eigenvalues, [1.0], atol=1e-12)
 
@@ -279,7 +324,7 @@ class TestDmdPipeline:
         rng = np.random.default_rng(13)
         a = random_stable_system(rng, 2, radius=0.9)
         data = trajectory(a, rng.standard_normal(2), 50)
-        res = dmd(window_from(data), DmdConfig(rank=5))
+        res = lone_dmd(window_from(data), DmdConfig(rank=5))
         assert res.r_eff <= 2
 
     def test_eigenvalue_recovery_property(self):
@@ -288,7 +333,7 @@ class TestDmdPipeline:
             n = int(rng.integers(2, 9))
             a = random_stable_system(rng, n, radius=1.2)
             data = trajectory(a, rng.standard_normal(n), max(10 * n, 40))
-            res = dmd(window_from(data), DmdConfig(rank=n))
+            res = lone_dmd(window_from(data), DmdConfig(rank=n))
             got = sorted(np.abs(res.eigenvalues))
             want = sorted(np.abs(np.linalg.eigvals(a)))[-len(got):]
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-6
@@ -301,9 +346,9 @@ class TestDmdPipeline:
         c = np.linalg.qr(rng.standard_normal((5, 5)))[0][:, :3]
         states = trajectory(a, rng.standard_normal(3), 300)
         clean = states @ c.T
-        res_clean = dmd(window_from(clean), DmdConfig(rank=3))
+        res_clean = lone_dmd(window_from(clean), DmdConfig(rank=3))
         offset = rng.uniform(1.0, 2.0, size=5)
-        res_off = dmd(window_from(clean + offset), DmdConfig(rank=4))
+        res_off = lone_dmd(window_from(clean + offset), DmdConfig(rank=4))
         non_unit = sorted(z for z in res_off.eigenvalues if abs(z - 1.0) > 1e-3)
         base = sorted(res_clean.eigenvalues)
         assert len(non_unit) == 3
@@ -314,7 +359,7 @@ class TestDmdPipeline:
         rng = np.random.default_rng(33)
         a = random_stable_system(rng, 4, radius=1.0)
         data = trajectory(a, rng.standard_normal(4), 80)
-        res = dmd(window_from(data), DmdConfig(rank=4))
+        res = lone_dmd(window_from(data), DmdConfig(rank=4))
         x1, x2 = data[:-1].T, data[1:].T
         phi = res.modes
         pred = phi @ np.diag(res.eigenvalues) @ np.linalg.pinv(phi) @ x1
@@ -324,6 +369,6 @@ class TestDmdPipeline:
     def test_r_eff_bound(self):
         rng = np.random.default_rng(40)
         data = rng.standard_normal((30, 2))
-        res = dmd(window_from(data), DmdConfig(rank=10))
+        res = lone_dmd(window_from(data), DmdConfig(rank=10))
         assert res.r_eff <= min(10, 2, 30 - 1)
         assert res.modes.shape[0] == 2

@@ -12,7 +12,7 @@ import pytest
 
 import dramn
 from dramn import store
-from dramn.adjacency import build_adjacency, mean_centered
+from dramn.adjacency import build_tensors
 from dramn.datagen import GenerationMix, SurrogateConfig, synthesize_scenario
 from dramn.dmd import DmdConfig
 from dramn.errors import DataError
@@ -140,8 +140,10 @@ class TestManifest:
 
 class TestTensorCache:
     def _source(self, record, cache):
+        """A one-window fetch over the cache's list-of-windows source."""
         cfg = DmdConfig(rank=3)
-        return cache.source(lambda w: build_adjacency(mean_centered(w), cfg))
+        fetch = cache.source(lambda windows: build_tensors(windows, cfg))
+        return lambda w: fetch([w])[0]
 
     def test_miss_then_hit(self, tmp_path, record):
         cache = ScenarioTensorCache(tmp_path, record.scenario_id, "tok1")
@@ -156,6 +158,28 @@ class TestTensorCache:
         t2 = fetch2(w)
         assert cache2.hits == 1 and cache2.misses == 0
         np.testing.assert_array_equal(t1.layers, t2.layers)
+
+    def test_list_fetch_counts_as_one_window_at_a_time(self, tmp_path, record):
+        # a repeated start is a hit once its first window was a miss, and
+        # the misses are built in one call
+        ends = (5000, 5100, 5000, 5200, 5100, 5000)
+        windows = [record.window_at(end, 500) for end in ends]
+        cfg = DmdConfig(rank=3)
+        warm = ScenarioTensorCache(tmp_path, record.scenario_id, "tokW")
+        self._source(record, warm)(windows[3])
+        warm.flush()
+        one = ScenarioTensorCache(tmp_path, record.scenario_id, "tokW")
+        fetch_one = self._source(record, one)
+        singly = [fetch_one(w) for w in windows]
+        listed = ScenarioTensorCache(tmp_path, record.scenario_id, "tokW")
+        calls = []
+        fetch = listed.source(lambda ws: calls.append(len(ws)) or build_tensors(ws, cfg))
+        together = fetch(windows)
+        assert (listed.hits, listed.misses) == (one.hits, one.misses) == (4, 2)
+        assert calls == [2]
+        assert together[0] is together[2] is together[5]
+        for a, b in zip(singly, together):
+            assert a.layers.tobytes() == b.layers.tobytes()
 
     def test_lookup_is_all_or_nothing(self, tmp_path, record):
         cache = ScenarioTensorCache(tmp_path, record.scenario_id, "tokL")
