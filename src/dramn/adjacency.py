@@ -12,8 +12,9 @@ Every layer is rescaled by its largest absolute entry so downstream graph
 convolutions see uniformly scaled edges.
 
 Tensors are built a stack at a time: `build_tensors` centers raw windows,
-WINDOW_CHUNK at a time, into one reusable buffer and hands each chunk to
-`build_adjacency` as a `WindowStack`. The layer helpers take the stack's
+WINDOW_CHUNK at a time, into a reusable buffer and hands each chunk to
+`build_adjacency` as a `WindowStack`; on more than one CPU a helper thread
+builds every other chunk of large windows. The layer helpers take the stack's
 leading axis. `build_adjacency` also takes a lone window, decomposes it as
 a stack of one and gives its one tensor, so every tensor has the bits of
 its own window's decomposition.
@@ -21,9 +22,12 @@ its own window's decomposition.
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,42 +382,87 @@ def _stack_layers(stack: WindowStack, cfg: DmdConfig) -> np.ndarray:
     return layers
 
 
-# Windows `build_tensors` centers into its buffer and decomposes as one
-# stack. At paper dims (1000 x 20 windows) windowing a scenario peaked at
-# 0.80x its trajectory with 8 (tracemalloc), 1.10x with 16 and 1.96x with
-# 32, for about the same speed
+# Windows `build_tensors` centers into a buffer and decomposes as one
+# stack. At paper dims (1000 x 20 windows) a serial build of a scenario
+# peaked at 0.80x its trajectory with 8 (tracemalloc), 1.10x with 16 and
+# 1.96x with 32, for about the same speed. With the helper thread's chunk
+# in flight it peaks at 1.07x with 8; 4 keeps 0.80x but builds about 15 %
+# slower on two CPUs and 3 % slower on one
 WINDOW_CHUNK = 8
+
+# Windows of fewer samples x channels are built without the helper thread:
+# their decomposition is mostly Python work, which holds the GIL. With one
+# BLAS thread on 2 CPUs the helper built 200 x 6 windows 1.4x slower and
+# 200 x 12 windows 1.25x slower, but 200 x 20 in 0.93x, 1000 x 6 in 0.70x
+# and 1000 x 20 (the paper's windows) in 0.61x the serial time
+HELPER_MIN_ENTRIES = 4000
 
 
 def build_tensors(windows, cfg: DmdConfig) -> list:
     """Adjacency tensors of raw windows of one shape, in order.
 
     Each window is centered by `_centered`, the rule `mean_centered`
-    follows, into one C-ordered buffer of WINDOW_CHUNK windows, and each
+    follows, into a C-ordered buffer of WINDOW_CHUNK windows, and each
     chunk is one `build_adjacency` stack. A tensor has the bits of
     ``build_adjacency(mean_centered(window))`` for a window with contiguous
     rows, as every window the program cuts has; the decomposition of other
-    layouts rounds differently. When a chunk fails, at centering or later,
-    its windows are built again one at a time, in order, so the first that
-    fails on its own raises its own error.
+    layouts rounds differently.
+
+    When there is more than one chunk, the windows have at least
+    HELPER_MIN_ENTRIES samples x channels and the process may run on more
+    than one CPU, one helper thread builds every other chunk, into its own
+    buffer, while the caller builds the one before it; numpy releases the
+    GIL inside LAPACK and BLAS, so two decompositions run at once. The
+    helper runs in a copy of the caller's context, so numpy's error state
+    holds there too, and it ends with the call.
+
+    When a chunk fails, at centering or later, its windows are built again
+    one at a time, in order, so the first that fails on its own raises its
+    own error; of two failing chunks, the earlier one's error is raised,
+    after the helper has finished.
     """
+    pair = (len(windows) > WINDOW_CHUNK and windows[0].data.size >= HELPER_MIN_ENTRIES
+            and _usable_cpus() > 1)
+    step = 2 * WINDOW_CHUNK if pair else WINDOW_CHUNK
     tensors = []
-    buf = None
-    for lo in range(0, len(windows), WINDOW_CHUNK):
-        chunk = windows[lo:lo + WINDOW_CHUNK]
-        if buf is None:
-            buf = np.empty((min(len(windows), WINDOW_CHUNK),) + chunk[0].data.shape)
-        data = buf[:len(chunk)]
-        try:
-            for out, w in zip(data, chunk):
-                _centered(w.data, out)
-            stack = WindowStack(data=data, t_starts=tuple(w.t_start for w in chunk))
-            tensors.extend(build_adjacency(stack, cfg))
-        except (DataError, NumericalFailureError):
-            for w in chunk:
-                build_adjacency(mean_centered(w), cfg)
-            raise
+    bufs = None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for lo in range(0, len(windows), step):
+            mine = windows[lo:lo + WINDOW_CHUNK]
+            theirs = windows[lo + WINDOW_CHUNK:lo + step]
+            if bufs is None:
+                bufs = [np.empty((len(mine),) + mine[0].data.shape)
+                        for _ in range(2 if pair else 1)]
+            later = (helper.submit(contextvars.copy_context().run,
+                                   _chunk_tensors, theirs, cfg, bufs[1])
+                     if theirs else None)
+            # a failure here leaves the block, which waits for the helper
+            tensors.extend(_chunk_tensors(mine, cfg, bufs[0]))
+            if later is not None:
+                tensors.extend(later.result())
     return tensors
+
+
+def _chunk_tensors(chunk, cfg: DmdConfig, buf: np.ndarray) -> list:
+    """The tensors of at most WINDOW_CHUNK windows, centered into ``buf``
+    and built as one stack (see `build_tensors`)."""
+    data = buf[:len(chunk)]
+    try:
+        for out, w in zip(data, chunk):
+            _centered(w.data, out)
+        return build_adjacency(WindowStack(data=data, t_starts=tuple(w.t_start for w in chunk)),
+                               cfg)
+    except (DataError, NumericalFailureError):
+        for w in chunk:
+            build_adjacency(mean_centered(w), cfg)
+        raise
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def tensor_to_bytes(tensor: AdjacencyTensor) -> bytes:

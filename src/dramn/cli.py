@@ -528,9 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON config, or 'demo' for the bundled demo")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="number of scenarios generate synthesizes at once; "
+                            "other commands ignore it")
         p.add_argument("--deterministic", action="store_true",
-                       help="sequential execution and reproducible artifacts")
+                       help="one scenario at a time in generate, and reproducible "
+                            "artifacts")
 
     p = sub.add_parser("generate", help="synthesize the scenario store")
     common(p)

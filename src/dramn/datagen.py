@@ -21,6 +21,7 @@ scenario lacks are built a `WINDOW_CHUNK` stack at a time
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +32,7 @@ from .dmd import TimeSeriesWindow
 from .errors import (
     ConfigError,
     DataError,
+    DegenerateWindowError,
     InsufficientHistoryError,
     LabelingError,
 )
@@ -680,7 +682,10 @@ def _windows_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
     """The windows of the sequence sample ending at ``end_ms``, oldest first.
 
     They are read-only views of the record's trajectory or, with
-    ``copy_rows``, of a private copy of the span they cover.
+    ``copy_rows``, of a private copy of the span they cover. The first
+    window checks its shape and samples; each later one is a copy of it
+    over its own rows, of which only those no earlier window covers are
+    checked, so each sample of the span is checked once at most.
     """
     seq = proto.sequence
     first_start = end_ms - seq.history_ms() + 1
@@ -694,15 +699,19 @@ def _windows_at(record: ScenarioRecord, end_ms: int, proto: WindowProtocol,
         span = span.copy()
     span.flags.writeable = False
     width_rows = record._row(first_start + seq.window_ms - 1) - lo + 1
-    windows = []
-    for w_start in seq.window_starts(end_ms):
-        off = record._row(w_start) - lo
-        windows.append(TimeSeriesWindow(
-            data=span[off:off + width_rows],
-            dt=record.dt,
-            channel_names=record.channel_names,
-            t_start=w_start,
-        ))
+    starts = seq.window_starts(end_ms)
+    offsets = [record._row(start) - lo for start in starts]
+    first = TimeSeriesWindow(data=span[offsets[0]:offsets[0] + width_rows], dt=record.dt,
+                             channel_names=record.channel_names, t_start=starts[0])
+    windows = [first]
+    checked = offsets[0] + width_rows
+    for off, start in zip(offsets[1:], starts[1:]):
+        if not np.isfinite(span[max(off, checked):off + width_rows]).all():
+            raise DegenerateWindowError("window contains non-finite samples")
+        checked = off + width_rows
+        window = copy.copy(first)
+        window.data, window.t_start = span[off:off + width_rows], start
+        windows.append(window)
     return windows
 
 

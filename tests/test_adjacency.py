@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,6 +420,26 @@ def rank_one_window(rng, n, steps=300):
     return TimeSeriesWindow(data=np.outer(s, rng.standard_normal(n)) + 2.0, dt=0.001)
 
 
+def _allow_cpus(monkeypatch, cpus):
+    """Let `build_tensors` see ``cpus`` CPUs, whatever the host has, and
+    use its helper on windows of any size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(adjacency, "HELPER_MIN_ENTRIES", 0)
+
+
+def _thread_starts(monkeypatch):
+    """A list that gets one entry per thread started from now on."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
 class TestStackedBuild:
     """Every tensor of a stacked build has, by `tobytes()`, the bits of
     `frozen_build` on its own window, whatever else shares its stack."""
@@ -460,6 +483,56 @@ class TestStackedBuild:
             want = frozen_build(w, cfg).tobytes()
             assert t.layers.flags.c_contiguous and t.layers.tobytes() == want
             assert build_adjacency(mean_centered(w), cfg).layers.tobytes() == want
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 2 * WINDOW_CHUNK + 1])
+    @pytest.mark.parametrize("chunk", [1, WINDOW_CHUNK])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_helper_thread(self, monkeypatch, count, chunk, cpus):
+        # the caller builds chunks 0, 2, 4, ... and the one helper thread
+        # 1, 3, ...; with one chunk or one CPU no thread starts
+        rng = np.random.default_rng(60 + count)
+        windows = [TimeSeriesWindow(data=lti_window(rng, n=6, steps=300, offset=1.0).data,
+                                    dt=0.001, t_start=10 * k) for k in range(count)]
+        monkeypatch.setattr(adjacency, "WINDOW_CHUNK", chunk)
+        _allow_cpus(monkeypatch, cpus)
+        builders = {}
+        real_chunk_tensors = adjacency._chunk_tensors
+
+        def chunk_tensors(chunk_windows, cfg, buf):
+            builders[chunk_windows[0].t_start // (10 * chunk)] = threading.get_ident()
+            return real_chunk_tensors(chunk_windows, cfg, buf)
+
+        monkeypatch.setattr(adjacency, "_chunk_tensors", chunk_tensors)
+        threads = threading.active_count()
+        started = _thread_starts(monkeypatch)
+        cfg = DmdConfig()
+        tensors = build_tensors(windows, cfg)
+        assert threading.active_count() == threads
+        assert [t.source_window for t in tensors] == [w.t_start for w in windows]
+        for w, t in zip(windows, tensors):
+            assert t.layers.flags.c_contiguous
+            assert t.layers.tobytes() == frozen_build(w, cfg).tobytes()
+        n_chunks = -(-count // chunk)
+        assert sorted(builders) == list(range(n_chunks))
+        helped = n_chunks > 1 and cpus > 1
+        assert len(started) == (1 if helped else 0)
+        caller = threading.get_ident()
+        assert [builders[k] == caller for k in range(n_chunks)] == [
+            k % 2 == 0 or not helped for k in range(n_chunks)]
+
+    @pytest.mark.parametrize("steps, n, helped", [(199, 20, False), (200, 20, True)])
+    def test_no_helper_for_small_windows(self, monkeypatch, steps, n, helped):
+        assert (steps * n >= adjacency.HELPER_MIN_ENTRIES) == helped
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(62)
+        windows = [lti_window(rng, n=n, steps=steps, offset=1.0) for _ in range(WINDOW_CHUNK + 1)]
+        assert windows[0].data.shape == (steps, n)
+        started = _thread_starts(monkeypatch)
+        cfg = DmdConfig()
+        tensors = build_tensors(windows, cfg)
+        assert len(started) == (1 if helped else 0)
+        for w, t in zip(windows, tensors):
+            assert t.layers.tobytes() == frozen_build(w, cfg).tobytes()
 
     def test_group_results_keep_each_window_s_own_types(self):
         # np.linalg.eig types a stack complex if any eigenvalue in it is;
@@ -511,9 +584,12 @@ class TestStackedErrors:
 
     @staticmethod
     def _raised(fn, *args):
+        # no thread outlives a failed build
+        threads = threading.active_count()
         with np.errstate(all="ignore"):
             with pytest.raises((DataError, NumericalFailureError)) as exc:
                 fn(*args)
+        assert threading.active_count() == threads
         return type(exc.value), str(exc.value)
 
     def _alone(self, window, cfg):
@@ -521,8 +597,8 @@ class TestStackedErrors:
         assert self._raised(lambda: build_adjacency(mean_centered(window), cfg)) == want
         return want
 
-    def _windows(self, rng):
-        return [lti_window(rng, n=4, steps=STEPS, offset=1.0) for _ in range(10)]
+    def _windows(self, rng, count=10):
+        return [lti_window(rng, n=4, steps=STEPS, offset=1.0) for _ in range(count)]
 
     @pytest.mark.parametrize("bad", sorted(BAD))
     @pytest.mark.parametrize("at", [0, 3, WINDOW_CHUNK - 1, WINDOW_CHUNK])
@@ -575,6 +651,74 @@ class TestStackedErrors:
         want = self._alone(windows[2], cfg)
         assert want != self._alone(windows[5], cfg)
         assert self._raised(build_tensors, windows, cfg) == want
+
+    # windows 0 .. WINDOW_CHUNK - 1 are the caller's first chunk, the next
+    # WINDOW_CHUNK the helper's, and the rest a third chunk, the caller's
+    THREE_CHUNKS = 2 * WINDOW_CHUNK + 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("at", [WINDOW_CHUNK, 2 * WINDOW_CHUNK - 1, 2 * WINDOW_CHUNK + 1])
+    def test_failure_in_a_later_chunk(self, monkeypatch, cpus, bad, at):
+        _allow_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(54)
+        windows = self._windows(rng, self.THREE_CHUNKS)
+        windows[at] = self.BAD[bad](rng)
+        cfg = DmdConfig()
+        assert self._raised(build_tensors, windows, cfg) == self._alone(windows[at], cfg)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("first, second", [
+        ("all_zero", "nan_mean"), ("nan_mean", "non_finite_svd"), ("non_finite_svd", "all_zero"),
+    ])
+    def test_caller_s_chunk_wins_over_the_helper_s(self, monkeypatch, cpus, first, second):
+        _allow_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(55)
+        windows = self._windows(rng, self.THREE_CHUNKS)
+        windows[WINDOW_CHUNK - 1] = self.BAD[first](rng)
+        windows[WINDOW_CHUNK] = self.BAD[second](rng)
+        cfg = DmdConfig()
+        want = self._alone(windows[WINDOW_CHUNK - 1], cfg)
+        assert want != self._alone(windows[WINDOW_CHUNK], cfg)
+        assert self._raised(build_tensors, windows, cfg) == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_helper_keeps_the_caller_s_error_state(self, monkeypatch, cpus):
+        _allow_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(57)
+        windows = self._windows(rng, self.THREE_CHUNKS)
+        windows[WINDOW_CHUNK] = self.BAD["nan_mean"](rng)
+        threads = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            build_tensors(windows, DmdConfig())
+        assert threading.active_count() == threads
+
+    def test_caller_s_failure_waits_for_the_helper(self, monkeypatch):
+        # the helper is still building when the caller's chunk fails
+        _allow_cpus(monkeypatch, 2)
+        rng = np.random.default_rng(56)
+        windows = self._windows(rng, self.THREE_CHUNKS)
+        windows[0] = self.BAD["all_zero"](rng)
+        real_chunk_tensors = adjacency._chunk_tensors
+        caller = threading.get_ident()
+        released, finished = threading.Event(), []
+
+        def chunk_tensors(chunk, cfg, buf):
+            if threading.get_ident() == caller:
+                try:
+                    return real_chunk_tensors(chunk, cfg, buf)
+                finally:
+                    released.set()
+            released.wait()
+            out = real_chunk_tensors(chunk, cfg, buf)
+            finished.append(chunk[0].t_start)
+            return out
+
+        monkeypatch.setattr(adjacency, "_chunk_tensors", chunk_tensors)
+        cfg = DmdConfig()
+        want = self._alone(windows[0], cfg)
+        assert self._raised(build_tensors, windows, cfg) == want
+        assert finished == [windows[WINDOW_CHUNK].t_start]
 
 
 class TestInvariantProperties:
@@ -664,6 +808,27 @@ class TestBuildSequence:
         record = _fake_record(length_ms=1200, event_ms=1200)
         cfg = SequenceConfig(l_seq=5, window_ms=1000, stride_ms=100)
         with pytest.raises(InsufficientHistoryError):
+            _sequence(record, cfg)
+
+    @pytest.mark.parametrize("t_nan", [18610, 19995])
+    def test_non_finite_sample_in_one_window_raises(self, t_nan):
+        # 18610 is in the first window only, 19995 in the last only
+        record = _fake_record(event_ms=20000)
+        record.trajectory[t_nan] = np.nan
+        cfg = SequenceConfig(l_seq=5, window_ms=1000, stride_ms=100)
+        with pytest.raises(DegenerateWindowError, match="window contains non-finite samples"):
+            _sequence(record, cfg)
+
+    def test_non_finite_sample_between_windows_is_not_read(self):
+        # windows [19501, 19600], [19701, 19800] and [19901, 20000]
+        cfg = SequenceConfig(l_seq=3, window_ms=100, stride_ms=200)
+        record = _fake_record(event_ms=20000)
+        record.trajectory[19650] = np.nan
+        sample = _sequence(record, cfg)
+        assert [w.t_start for w in sample.windows] == [19501, 19701, 19901]
+        assert all(np.isfinite(w.data).all() for w in sample.windows)
+        record.trajectory[19750] = np.nan
+        with pytest.raises(DegenerateWindowError, match="window contains non-finite samples"):
             _sequence(record, cfg)
 
     def test_zero_stride_degenerate(self):

@@ -312,7 +312,8 @@ class TestSurrogateFidelity:
 class TestWindowing:
     def test_peak_memory_of_a_paper_scenario(self):
         # the 295 tensors are about half the trajectory; the stacked build
-        # adds one buffer of WINDOW_CHUNK centered windows and its SVD
+        # adds one buffer of WINDOW_CHUNK centered windows and its SVD per
+        # thread
         record = synthesize_scenario(GenerationMix(50, 25, 25), "short_circuit", 11,
                                      SurrogateConfig())
         tracemalloc.start()
