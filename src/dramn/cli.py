@@ -52,7 +52,6 @@ from .store import (
     load_scenario,
     manifest_entry,
     read_manifest,
-    read_scenario_header,
     read_scenario_line,
     scenario_filename,
     save_checkpoint,
@@ -191,6 +190,35 @@ def _load_model(cfg: RunConfig):
     return params, std, test_entries
 
 
+def _train(cfg: RunConfig, samples):
+    return train(samples, cfg.train_config(),
+                 embed_dim=cfg.model.embed_dim, hidden_dim=cfg.model.hidden_dim)
+
+
+def _fit_and_score(cfg: RunConfig, samples):
+    """Train on ``samples`` and report the model's metrics on its test split."""
+    result = _train(cfg, samples)
+    return evaluate_model(result.params, result.test_samples, result.standardizer,
+                          threshold=cfg.evaluate.threshold)
+
+
+def _stored_entry(path, spec: ScenarioSpec, seed: int, surrogate_cfg):
+    """The manifest entry of the scenario file at ``path`` if it reads intact
+    and holds what this config synthesizes for ``spec`` (id, stream seed,
+    timing and trajectory shape), else None."""
+    try:
+        record = load_scenario(path)
+    except DataError:
+        return None
+    # the row count synthesize_scenario gives the trajectory
+    n_samples = int(round(surrogate_cfg.duration_ms / surrogate_cfg.ms_per_sample)) + 1
+    kept = ((record.scenario_id, record.seed, record.dt, record.event_ms,
+             record.trajectory.shape)
+            == (spec.scenario_id, seed, surrogate_cfg.dt, surrogate_cfg.event_ms,
+                (n_samples, surrogate_cfg.n_channels)))
+    return manifest_entry(record) if kept else None
+
+
 def _metric_row(label, report):
     return (
         label, report.accuracy, report.precision, report.recall, report.f1,
@@ -212,16 +240,12 @@ def cmd_generate(cfg: RunConfig, args) -> int:
 
     def synth(spec: ScenarioSpec):
         path = os.path.join(store, scenario_filename(spec.scenario_id))
+        seed = scenario_seed(cfg.seed, spec)
         if args.skip_existing and os.path.exists(path):
-            try:
-                entry = read_scenario_header(path)
-                if entry["id"] == spec.scenario_id:
-                    return entry
-            except DataError:
-                pass  # fall through to regeneration
-        record = synthesize_scenario(
-            spec.mix, spec.event, scenario_seed(cfg.seed, spec), surrogate_cfg
-        )
+            entry = _stored_entry(path, spec, seed, surrogate_cfg)
+            if entry is not None:
+                return entry
+        record = synthesize_scenario(spec.mix, spec.event, seed, surrogate_cfg)
         save_scenario(record, store)
         return manifest_entry(record)
 
@@ -246,8 +270,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     samples, stats = _build_dataset(cfg)
     print(f"windowed {stats['scenarios']} scenarios -> {len(samples)} samples "
           f"(diverged skipped: {stats['diverged']}, cache hits: {stats['cache_hits']})")
-    result = train(samples, cfg.train_config(),
-                   embed_dim=cfg.model.embed_dim, hidden_dim=cfg.model.hidden_dim)
+    result = _train(cfg, samples)
     _ensure_dirs(cfg.paths.checkpoints)
     save_checkpoint(result.params, result.standardizer, _checkpoint_path(cfg),
                     seed=cfg.seed,
@@ -312,13 +335,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         sweep_rows = []
         for width in cfg.evaluate.window_sweep or (100, 200, 500, 1000, 2000):
             sw_samples, _ = _build_dataset(cfg, width_ms=width)
-            sw_result = train(sw_samples, cfg.train_config(),
-                              embed_dim=cfg.model.embed_dim,
-                              hidden_dim=cfg.model.hidden_dim)
-            sw_report = evaluate_model(sw_result.params, sw_result.test_samples,
-                                       sw_result.standardizer,
-                                       threshold=cfg.evaluate.threshold)
-            sweep_rows.append((width, sw_report))
+            sweep_rows.append((width, _fit_and_score(cfg, sw_samples)))
         best_f1 = max(r.f1 for _, r in sweep_rows)
         table = []
         for width, r in sweep_rows:
@@ -360,6 +377,7 @@ def _collect_tensors(cfg: RunConfig):
     store = cfg.paths.scenario_store
     by_event = {}
     names = None
+    _ensure_dirs(cfg.paths.adjacency_cache)
     for entry in read_manifest(store)["scenarios"]:
         if entry["diverged"]:
             continue
@@ -389,12 +407,7 @@ def _node_subset_rows(cfg: RunConfig, args):
         k = int(k)
         chans = top_k(report, k)
         sub_samples, _ = _build_dataset(cfg, channels=chans)
-        result = train(sub_samples, cfg.train_config(),
-                       embed_dim=cfg.model.embed_dim, hidden_dim=cfg.model.hidden_dim)
-        sub_report = evaluate_model(result.params, result.test_samples,
-                                    result.standardizer,
-                                    threshold=cfg.evaluate.threshold)
-        rows.append((k,) + _metric_row("", sub_report)[1:])
+        rows.append((k,) + _metric_row("", _fit_and_score(cfg, sub_samples))[1:])
     return rows
 
 
@@ -406,13 +419,16 @@ def cmd_select(cfg: RunConfig, args) -> int:
     t_from, t_to = _selection_range(cfg)
     all_tensors = [t for bucket in by_event.values() for t in bucket]
     combined = build_report(all_tensors, t_from, t_to, channel_names=names)
-    write_strength_report(combined,
-                          os.path.join(cfg.paths.reports, "node_strength.tsv"),
-                          meta=_meta(cfg))
+    # a bad --k (top_k) or --edge-fraction (write_edge_list) is refused
+    # before the first report is written
+    top = top_k(combined, min(13, len(names)) if args.k is None else args.k)
     edges = aggregate_edges(all_tensors, t_from, t_to)
     write_edge_list(edges, os.path.join(cfg.paths.reports, "edges.tsv"),
                     channel_names=names, top_fraction=args.edge_fraction,
                     meta=_meta(cfg))
+    write_strength_report(combined,
+                          os.path.join(cfg.paths.reports, "node_strength.tsv"),
+                          meta=_meta(cfg))
 
     payload = {"meta": _meta(cfg), "combined_ranking": top_k(combined, len(names))}
     event_reports = {
@@ -430,15 +446,13 @@ def cmd_select(cfg: RunConfig, args) -> int:
         print(f"top-{k} overlap between {kinds[0]} and {kinds[1]}: "
               f"{count} channels (jaccard {jaccard:.3f})")
     write_json_report(os.path.join(cfg.paths.reports, "node_strength.json"), payload)
-    k = min(13, len(names)) if args.k is None else args.k
-    print("top channels:", ", ".join(str(c) for c in top_k(combined, k)))
+    print("top channels:", ", ".join(str(c) for c in top))
     return 0
 
 
 def cmd_noise(cfg: RunConfig, args) -> int:
     params, std, test_entries = _load_model(cfg)
     _ensure_dirs(cfg.paths.reports)
-    train_cfg = cfg.train_config()
     # the sweep corrupts the raw rows of the test samples, the augmentation
     # those of the training samples; they keep private copies of them
     test_ids = {e["id"] for e in test_entries}
@@ -448,16 +462,14 @@ def cmd_noise(cfg: RunConfig, args) -> int:
     else:
         train_ids = _split(read_manifest(cfg.paths.scenario_store)["scenarios"], cfg)[0]
         samples, _ = _build_dataset(cfg, raw_ids=train_ids | test_ids)
-        train_s, val_s, test_s = split_dataset(samples, train_cfg)
+        train_s, val_s, test_s = split_dataset(samples, cfg.train_config())
         # corrupt only the training portion; scenario-level splitting puts
         # the noisy copies back into the training fold and keeps validation
         # and test clean
         seq_cfg = cfg.sequence_config()
         augmented = make_noise_augmented(train_s, cfg.evaluate.augment_snr,
                                          seq_cfg, seed=cfg.seed)
-        aug_result = train(augmented + val_s + test_s, train_cfg,
-                           embed_dim=cfg.model.embed_dim,
-                           hidden_dim=cfg.model.hidden_dim)
+        aug_result = _train(cfg, augmented + val_s + test_s)
         aug_params, aug_std = aug_result.params, aug_result.standardizer
 
     points = noise_sweep(params, test_s, std, cfg.sequence_config(),

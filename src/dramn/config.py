@@ -60,16 +60,6 @@ class WindowSection:
 
 
 @dataclass(frozen=True)
-class DmdSection:
-    rank: int = 5
-    svd_rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        # rejected when the config loads, not at the first window
-        DmdConfig(rank=self.rank, svd_rel_tol=self.svd_rel_tol)
-
-
-@dataclass(frozen=True)
 class ModelSection:
     embed_dim: int = 64
     hidden_dim: int = 64
@@ -101,7 +91,7 @@ class RunConfig:
     paths: PathsSection = field(default_factory=PathsSection)
     data: DataSection = field(default_factory=DataSection)
     window: WindowSection = field(default_factory=WindowSection)
-    dmd: DmdSection = field(default_factory=DmdSection)
+    dmd: DmdConfig = field(default_factory=DmdConfig)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainSection = field(default_factory=TrainSection)
     evaluate: EvaluateSection = field(default_factory=EvaluateSection)
@@ -120,15 +110,12 @@ class RunConfig:
         canon = json.dumps(_jsonable(settings), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def dmd_config(self) -> DmdConfig:
-        return DmdConfig(rank=self.dmd.rank, svd_rel_tol=self.dmd.svd_rel_tol)
-
     def sequence_config(self, width_ms: int = None) -> SequenceConfig:
         return SequenceConfig(
             l_seq=self.window.l_seq,
             window_ms=self.window.width_ms if width_ms is None else width_ms,
             stride_ms=self.window.stride_ms,
-            dmd=self.dmd_config(),
+            dmd=self.dmd,
         )
 
     def window_protocol(self, width_ms: int = None) -> WindowProtocol:
@@ -190,7 +177,7 @@ _SECTIONS = {
     "paths": PathsSection,
     "data": DataSection,
     "window": WindowSection,
-    "dmd": DmdSection,
+    "dmd": DmdConfig,
     "model": ModelSection,
     "train": TrainSection,
     "evaluate": EvaluateSection,

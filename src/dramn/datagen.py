@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -801,26 +801,18 @@ def _add_noise(data: np.ndarray, offsets: np.ndarray, snr_db: float, rng):
     return noisy
 
 
-def inject_noise(obj, snr_db: float, seed: int = 0):
+def inject_noise(window: TimeSeriesWindow, snr_db: float, seed: int = 0):
     """Additive white Gaussian noise at the given SNR (dB), seeded.
 
-    Accepts a window or a scenario record and returns a noisy copy of the
-    same type; None or infinite SNR is the disabled sentinel and returns the
-    input unchanged.
+    Returns a noisy copy of the window; None or infinite SNR is the disabled
+    sentinel and returns the window unchanged.
     """
     if snr_db is None or math.isinf(snr_db):
-        return obj
+        return window
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA015]))
-    if isinstance(obj, TimeSeriesWindow):
-        offsets = obj.data.mean(axis=0)
-        return TimeSeriesWindow(
-            data=_add_noise(obj.data, offsets, snr_db, rng),
-            dt=obj.dt,
-            channel_names=obj.channel_names,
-            t_start=obj.t_start,
-        )
-    if isinstance(obj, ScenarioRecord):
-        return replace(
-            obj, trajectory=_add_noise(obj.trajectory, obj.channel_offsets, snr_db, rng)
-        )
-    raise TypeError(f"cannot inject noise into {type(obj).__name__}")
+    return TimeSeriesWindow(
+        data=_add_noise(window.data, window.data.mean(axis=0), snr_db, rng),
+        dt=window.dt,
+        channel_names=window.channel_names,
+        t_start=window.t_start,
+    )

@@ -21,23 +21,24 @@ from .store import write_table
 @dataclass(eq=False)
 class NodeStrengthReport:
     per_layer: np.ndarray        # (d, n) raw strengths
-    per_layer_norm: np.ndarray   # (d, n) min-max normalized
     composite: np.ndarray        # (n,)
     ranking: list                # channel indices, strongest first
     time_range: tuple            # (t_from, t_to) ms
     channel_names: tuple = ()
 
 
-def node_strength(adjacency_series, t_from: int, t_to: int) -> np.ndarray:
-    """Raw per-layer strengths (d x n) summed over tensors in [t_from, t_to].
-
-    A tensor is included when its window offset lies inside the range.
-    """
+def _in_range(adjacency_series, t_from: int, t_to: int) -> list:
+    """The tensors whose window offset lies in [t_from, t_to]; DataError if none."""
     included = [t for t in adjacency_series if t_from <= t.source_window <= t_to]
     if not included:
-        raise DataError(
-            f"no adjacency tensors with window offsets in [{t_from}, {t_to}] ms"
-        )
+        raise DataError(f"no adjacency tensors with window offsets in "
+                        f"[{t_from}, {t_to}] ms")
+    return included
+
+
+def node_strength(adjacency_series, t_from: int, t_to: int) -> np.ndarray:
+    """Raw per-layer strengths (d x n) summed over the tensors in [t_from, t_to]."""
+    included = _in_range(adjacency_series, t_from, t_to)
     n = included[0].n
     d = included[0].layers.shape[2]
     raw = np.zeros((d, n))
@@ -66,11 +67,10 @@ def build_report(adjacency_series, t_from: int, t_to: int,
                  channel_names=()) -> NodeStrengthReport:
     """Full strength analysis over a tensor series: raw, normalized, ranked."""
     raw = node_strength(adjacency_series, t_from, t_to)
-    norm = minmax_normalize(raw)
-    comp = composite_strength(norm)
+    comp = composite_strength(minmax_normalize(raw))
     ranking = sorted(range(comp.size), key=lambda i: (-comp[i], i))
     return NodeStrengthReport(
-        per_layer=raw, per_layer_norm=norm, composite=comp,
+        per_layer=raw, composite=comp,
         ranking=ranking, time_range=(t_from, t_to),
         channel_names=tuple(channel_names),
     )
@@ -98,11 +98,7 @@ def overlap(top_a, top_b):
 
 def aggregate_edges(adjacency_series, t_from: int, t_to: int) -> np.ndarray:
     """Symmetric edge-weight sum over layers and tensors in the range."""
-    included = [t for t in adjacency_series if t_from <= t.source_window <= t_to]
-    if not included:
-        raise DataError(
-            f"no adjacency tensors with window offsets in [{t_from}, {t_to}] ms"
-        )
+    included = _in_range(adjacency_series, t_from, t_to)
     agg = np.zeros((included[0].n, included[0].n))
     for tensor in included:
         agg += np.abs(tensor.layers).sum(axis=2)

@@ -135,54 +135,6 @@ def _scenario_header(path, line: bytes) -> dict:
     return header
 
 
-def _read_scenario(path):
-    """Header, trajectory and mix of a scenario file.
-
-    The payload is read straight into a new (n_samples, channels) float64
-    array, which the caller owns, so a load holds no copy of the file.
-    DataError unless the mix is valid, the payload holds exactly
-    n_samples x channels values and its checksum holds.
-    """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise DataError(f"{path}: missing header line")
-        header = _scenario_header(path, line)
-        with _header_fields(path):
-            mix = GenerationMix(*header["mix"])
-            shape = (operator.index(header["n_samples"]), len(header["channels"]))
-        expected = shape[0] * shape[1] * 8
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != expected:
-            raise DataError(f"{path}: trajectory payload is {size} bytes, "
-                            f"expected {expected}")
-        trajectory = np.empty(shape, dtype="<f8")
-        if fh.readinto(memoryview(trajectory).cast("B")) != expected:
-            raise DataError(f"{path}: file changed while it was read")
-    if zlib.crc32(trajectory) != header.get("crc32"):
-        raise DataError(f"{path}: payload checksum mismatch")
-    return header, trajectory.astype(np.float64, copy=False), mix
-
-
-def read_scenario_header(path) -> dict:
-    """Manifest entry for an existing scenario file.
-
-    The whole file is read and checked as `load_scenario` checks it, so a
-    truncated, corrupted or malformed file raises DataError; the trajectory
-    is dropped once its checksum holds.
-    """
-    header, _, _ = _read_scenario(path)
-    with _header_fields(path):
-        return {
-            "id": header["id"],
-            "file": os.path.basename(path),
-            "event": header["event"],
-            "mix": header["mix"],
-            "label": header["label"],
-            "diverged": header["diverged"],
-        }
-
-
 def read_scenario_line(path) -> ScenarioHeader:
     """The header line of a scenario file, without reading its trajectory.
 
@@ -204,14 +156,38 @@ def read_scenario_line(path) -> ScenarioHeader:
 
 
 def load_scenario(path) -> ScenarioRecord:
-    header, trajectory, mix = _read_scenario(path)
+    """The scenario record stored at ``path``.
+
+    The payload is read straight into a new (n_samples, channels) float64
+    array, which the record owns, so a load holds no copy of the file.
+    DataError unless the header is intact, the mix is valid, the payload
+    holds exactly n_samples x channels values and its checksum holds.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise DataError(f"{path}: missing header line")
+        header = _scenario_header(path, line)
+        with _header_fields(path):
+            mix = GenerationMix(*header["mix"])
+            shape = (operator.index(header["n_samples"]), len(header["channels"]))
+        expected = shape[0] * shape[1] * 8
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise DataError(f"{path}: trajectory payload is {size} bytes, "
+                            f"expected {expected}")
+        trajectory = np.empty(shape, dtype="<f8")
+        if fh.readinto(memoryview(trajectory).cast("B")) != expected:
+            raise DataError(f"{path}: file changed while it was read")
+    if zlib.crc32(trajectory) != header.get("crc32"):
+        raise DataError(f"{path}: payload checksum mismatch")
     with _header_fields(path):
         spectrum = np.array([complex(re, im) for re, im in header["spectrum"]])
         return ScenarioRecord(
             mix=mix,
             event=header["event"],
             seed=header["seed"],
-            trajectory=trajectory,
+            trajectory=trajectory.astype(np.float64, copy=False),
             dt=header["dt"],
             event_ms=header["event_ms"],
             channel_names=tuple(header["channels"]),

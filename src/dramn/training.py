@@ -327,8 +327,6 @@ class TrainResult:
     train_samples: list
     val_samples: list
     test_samples: list
-    dims: ModelDims
-    variant: str
 
 
 def stack_inputs(samples, standardizer: Standardizer = None, last_only: bool = False):
@@ -494,5 +492,4 @@ def train(dataset, cfg: TrainConfig, embed_dim: int = 64, hidden_dim: int = 64,
     return TrainResult(
         params=best, history=history, standardizer=std,
         train_samples=train_s, val_samples=val_s, test_samples=test_s,
-        dims=dims, variant=variant,
     )

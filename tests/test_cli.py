@@ -116,6 +116,27 @@ class TestGenerate:
         for entry in manifest[:2]:
             assert load_scenario(store / entry["file"]).scenario_id == entry["id"]
 
+    def test_skip_existing_replaces_another_seed_s_files(self, tmp_path):
+        # each stored scenario holds the seed-3 stream; after the seed-4 run
+        # the store must equal a fresh seed-4 store byte for byte
+        stores = []
+        for name, seed in (("kept", "3"), ("fresh", "4")):
+            (tmp_path / name).mkdir()
+            cfg_path = demo_config(tmp_path / name)
+            assert main(["generate", "--config", cfg_path, "--deterministic",
+                         "--seed", seed]) == 0
+            stores.append(tmp_path / name / "scenarios")
+        kept, fresh = stores
+        names = sorted(os.listdir(fresh))
+        stale = [n for n in names if (kept / n).read_bytes() != (fresh / n).read_bytes()]
+        assert len(stale) == len(names)  # the manifest and every scenario differ
+
+        assert main(["generate", "--config", str(tmp_path / "kept" / "config.json"),
+                     "--deterministic", "--seed", "4", "--skip-existing"]) == 0
+        assert sorted(os.listdir(kept)) == names
+        for name in names:
+            assert (kept / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_infeasible_grid_exit_code(self, tmp_path):
         cfg_path = demo_config(tmp_path, data={"ternary_step": 7})
         assert main(["generate", "--config", cfg_path]) == 2
@@ -292,6 +313,24 @@ class TestSelect:
     def test_explicit_k_out_of_range_exit_code(self, pipeline):
         _, cfg_path = pipeline
         assert main(["select", "--config", cfg_path, "--k", "50"]) == 3
+
+    def test_refused_select_writes_no_report(self, pipeline, tmp_path):
+        src, _ = pipeline
+        for name in ("scenarios", "cache"):
+            shutil.copytree(src / name, tmp_path / name)
+        cfg_path = demo_config(tmp_path)
+        for argv in (["--k", "0"], ["--k", "50"], ["--edge-fraction", "2"]):
+            assert main(["select", "--config", cfg_path] + argv) == 3, argv
+            assert list((tmp_path / "reports").iterdir()) == [], argv
+
+    def test_select_straight_after_generate(self, tmp_path):
+        cfg_path = demo_config(tmp_path)
+        assert main(["generate", "--config", cfg_path, "--deterministic"]) == 0
+        assert main(["select", "--config", cfg_path, "--k", "3"]) == 0
+        assert (tmp_path / "reports" / "node_strength.tsv").exists()
+        entries = read_manifest(tmp_path / "scenarios")["scenarios"]
+        assert len(list((tmp_path / "cache").glob("*.adj"))) == sum(
+            not e["diverged"] for e in entries)
 
 
 def count_loads(monkeypatch):

@@ -114,6 +114,16 @@ class TestDomainBuilders:
         demo = load_config("demo").window_protocol().sequence
         assert demo.cache_token() == "L3-w200-s100-c1-r5-tol1e-10-d0"
 
+    def test_config_hashes_pinned(self):
+        # every artifact header stamps the config hash, and the dmd section
+        # reaches the cache key through sequence_config: neither may move
+        # when the config classes are restructured
+        demo, default = load_config("demo"), RunConfig()
+        assert demo.config_hash() == "6d329fa8cfcc14df"
+        assert default.config_hash() == "88d2fcae23895da2"
+        assert demo.sequence_config().cache_token() == "L3-w200-s100-c1-r5-tol1e-10-d0"
+        assert default.sequence_config().cache_token() == "L5-w1000-s100-c1-r5-tol1e-10-d0"
+
     def test_json_round_trip(self, tmp_path):
         cfg = config_from_dict({"seed": 5, "data": {"ternary_step": 10}})
         path = tmp_path / "cfg.json"

@@ -502,16 +502,6 @@ class TestInjectNoise:
         added_power = ((noisy.data - data) ** 2).mean()
         assert added_power == pytest.approx(10 ** (-2.0), rel=0.2)
 
-    def test_record_uses_nominal_offsets(self):
-        rec = synthesize_scenario(GenerationMix(70, 15, 15), "unperturbed", 8, FAST)
-        noisy = inject_noise(rec, 30.0, seed=6)
-        assert noisy is not rec
-        assert noisy.label == rec.label
-        dev = rec.trajectory - rec.channel_offsets
-        added = noisy.trajectory - rec.trajectory
-        ratio = (dev ** 2).mean(axis=0) / (added ** 2).mean(axis=0)
-        np.testing.assert_allclose(10 * np.log10(ratio), 30.0, atol=0.5)
-
 
 def reference_saturate(dev, linear, cap):
     """Reference for `_saturate`: out of place, np.where over every sample."""

@@ -95,7 +95,6 @@ class TestTopK:
         from dramn.selection import NodeStrengthReport
 
         return NodeStrengthReport(per_layer=np.zeros((5, n)),
-                                  per_layer_norm=np.zeros((5, n)),
                                   composite=composite, ranking=ranking,
                                   time_range=(0, 1))
 

@@ -23,7 +23,6 @@ from dramn.store import (
     load_scenario,
     manifest_entry,
     read_manifest,
-    read_scenario_header,
     read_scenario_line,
     save_scenario,
     write_manifest,
@@ -52,10 +51,9 @@ class TestScenarioStore:
         assert back.label == record.label
         assert back.dt == record.dt
 
-    def test_header_only_read(self, tmp_path, record):
+    def test_manifest_entry_of_a_loaded_record(self, tmp_path, record):
         path = save_scenario(record, tmp_path)
-        entry = read_scenario_header(path)
-        assert entry == manifest_entry(record)
+        assert manifest_entry(load_scenario(path)) == manifest_entry(record)
 
     def test_header_line_places_windows_without_the_payload(self, tmp_path, record):
         path = save_scenario(record, tmp_path)
@@ -232,7 +230,6 @@ class TestTables:
 # the checkpoint's dims lack `n`, which ModelDims(**dims) rejects.
 _BASE_HEADERS = {
     "load_scenario": {"format": "scenario"},
-    "read_scenario_header": {"format": "scenario"},
     "read_scenario_line": {"format": "scenario"},
     "cache": {"format": "adjacency-cache", "scenario": "s", "token": "t"},
     "load_checkpoint": {"format": "checkpoint", "version": 3, "kind": "dramn",
@@ -268,23 +265,21 @@ class TestMalformedHeaders:
 
     def test_zero_share_mix_is_a_data_error(self, tmp_path, record):
         path = edited_header(save_scenario(record, tmp_path), mix=[0, 50, 50])
-        for reader in (load_scenario, read_scenario_header, read_scenario_line):
+        for reader in (load_scenario, read_scenario_line):
             with pytest.raises(DataError):
                 reader(path)
 
     def test_short_payload_is_a_data_error(self, tmp_path, record):
         path = edited_header(save_scenario(record, tmp_path), n_samples=10)
-        for reader in (load_scenario, read_scenario_header):
-            with pytest.raises(DataError, match="payload is"):
-                reader(path)
+        with pytest.raises(DataError, match="payload is"):
+            load_scenario(path)
 
     def test_trailing_bytes_are_a_data_error(self, tmp_path, record):
         path = save_scenario(record, tmp_path)
         with open(path, "ab") as fh:
             fh.write(b"\0" * 8)
-        for reader in (load_scenario, read_scenario_header):
-            with pytest.raises(DataError, match="payload is"):
-                reader(path)
+        with pytest.raises(DataError, match="payload is"):
+            load_scenario(path)
 
 
 def edited_header(path, **edit):
