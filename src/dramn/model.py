@@ -7,8 +7,9 @@ an LSTM-style gate update. The final hidden state is pooled over channels
 into a single instability probability.
 
 The hot path is the batched trace (`forward_trace_batch`), which records
-every intermediate needed for exact reverse-mode differentiation. Because
-the temporal compressor is affine in the window samples, the trace consumes
+the intermediates exact reverse-mode differentiation needs, less the
+graph-convolved step inputs, which the backward rebuilds. Because the
+temporal compressor is affine in the window samples, the trace consumes
 per-window channel means instead of full windows.
 
 The four gates are stored gate-major, in i, f, o, g order: ``w_x`` is
@@ -206,17 +207,39 @@ def compress_means(means: np.ndarray, params) -> np.ndarray:
     return _embed(_pool(means, params), params)
 
 
+def _step_inputs(xhat: np.ndarray, geff, h: np.ndarray, t: int):
+    """Step t's contiguous x̂_t and its graph-convolved inputs (x̂_t, xt, ht).
+
+    xt = G_t x̂_t and ht = G_t h, or x̂_t and ``h`` themselves when ``geff``
+    is None (identity graph). The forward and the backward both build them
+    here, so the backward's rebuilt products are the forward's bits.
+    """
+    # Contiguous: the backward einsums over a strided step view run ~4x slower.
+    xh = np.ascontiguousarray(xhat[:, t])
+    if geff is None:
+        return xh, xh, h
+    gt = geff[:, t]
+    return xh, gt @ xh, gt @ h
+
+
 @dataclass(eq=False)
 class ForwardTrace:
-    """Everything the reverse pass needs, batched over samples."""
+    """Everything the reverse pass needs, batched over samples.
+
+    The graph-convolved step inputs xt = G_t x̂_t and ht = G_t h_{t-1} are
+    not kept: each is one batched matmul of ``geff``, ``xhat`` and
+    ``h_prev``, which the trace holds anyway, so the backward rebuilds them
+    step by step with the forward's own operands, layouts and products (in
+    identity-graph mode they are ``xhat[:, t]`` and ``h_prev[t]``), and they
+    are the same bits. `training.backward_batch` sets each step's entries of
+    the per-step lists to None once its reverse recursion has used them.
+    """
 
     means: np.ndarray        # (B, L, n)
     layers: np.ndarray       # (B, L, n, n, d) or None in identity-graph mode
     pooled: np.ndarray       # (B, L, n)
     xhat: np.ndarray         # (B, L, n, F)
     geff: np.ndarray         # (B, L, n, n) or None
-    xt: list                 # per step (B, n, F)
-    ht: list                 # per step (B, n, H)
     h_prev: list             # per step (B, n, H)
     c_prev: list             # per step (B, n, H)
     gates: list              # per step dict of i/f/o/g arrays (B, n, H)
@@ -246,23 +269,14 @@ def forward_trace_batch(means: np.ndarray, layers, params: ModelParams,
 
     h = np.zeros((b, n, params.dims.h))
     c = np.zeros((b, n, params.dims.h))
-    xt_l, ht_l, hp_l, cp_l, gates_l, tanh_l = [], [], [], [], [], []
+    hp_l, cp_l, gates_l, tanh_l = [], [], [], []
     for t in range(l):
-        # Contiguous: the backward einsums over a strided step view run ~4x slower.
-        xh = np.ascontiguousarray(xhat[:, t])
-        if identity_graph:
-            xt, ht = xh, h
-        else:
-            gt = geff[:, t]
-            xt = gt @ xh
-            ht = gt @ h
+        _, xt, ht = _step_inputs(xhat, geff, h, t)
         z = xt[:, None] @ params.w_x
         z += ht[:, None] @ params.w_h
         z += params.b[:, None]
         i, f, o = _sigmoid(z[:, :3]).swapaxes(0, 1)
         g = np.tanh(z[:, 3])
-        xt_l.append(xt)
-        ht_l.append(ht)
         hp_l.append(h)
         cp_l.append(c)
         c = f * c
@@ -278,7 +292,7 @@ def forward_trace_batch(means: np.ndarray, layers, params: ModelParams,
         raise NumericalFailureError("forward pass produced non-finite probabilities")
     return ForwardTrace(
         means=means, layers=None if identity_graph else layers, pooled=pooled,
-        xhat=xhat, geff=geff, xt=xt_l, ht=ht_l, h_prev=hp_l, c_prev=cp_l,
+        xhat=xhat, geff=geff, h_prev=hp_l, c_prev=cp_l,
         gates=gates_l, tanh_c=tanh_l, h_last=h, score=score, p=p,
     )
 

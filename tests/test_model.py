@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -251,9 +252,12 @@ def reference_sigmoid(x):
 
 def reference_forward_trace(means, layers, params, identity_graph):
     """Frozen forward of the per-gate form: three separate ``exp(-|x|)``
-    sigmoids, out-of-place pre-activations and ``c = f*c + i*g``. The
-    backward's own reference runs the live forward, so only this pins the
-    forward's arithmetic."""
+    sigmoids, out-of-place pre-activations and ``c = f*c + i*g``.
+
+    Returns every `ForwardTrace` field plus the per-step graph-convolved
+    inputs ``xt`` and ``ht``, which the live trace does not keep. It pins the
+    forward's arithmetic, and the backward's reference reads its per-step
+    inputs from it."""
     means = np.asarray(means, dtype=np.float64)
     b, l, n = means.shape
     pooled = params.conv_scale * means + params.conv_shift
@@ -276,9 +280,10 @@ def reference_forward_trace(means, layers, params, identity_graph):
         steps["gates"].append({"i": i, "f": f, "o": o, "g": g})
         steps["tanh_c"].append(tc)
     score = (h @ params.readout_w).mean(axis=1) + params.readout_b
-    return ForwardTrace(means=means, layers=None if identity_graph else layers,
-                        pooled=pooled, xhat=xhat, geff=geff, h_last=h, score=score,
-                        p=reference_sigmoid(score), **steps)
+    return types.SimpleNamespace(
+        means=means, layers=None if identity_graph else layers, pooled=pooled,
+        xhat=xhat, geff=geff, h_last=h, score=score, p=reference_sigmoid(score),
+        **steps)
 
 
 def assert_same_bits(got, want, where):

@@ -27,6 +27,7 @@ from dramn.training import (
     stack_inputs,
     train,
 )
+from test_model import reference_forward_trace
 
 TINY = ModelDims(n=4, f=8, h=8, d=5, l_seq=2)
 T = 20  # samples per raw window
@@ -68,9 +69,11 @@ def reference_backward_batch(means, layers, params, y, identity_graph=False):
     gate k reading ``w_x[k]``, ``w_h[k]`` and ``b[k]``.
 
     Same arithmetic in the same order as the fused, threaded version, so the
-    two must agree to the last bit.
+    two must agree to the last bit. Every per-step input, xt and ht
+    included, comes from the frozen per-gate forward, not from the code
+    under test.
     """
-    trace = forward_trace_batch(means, layers, params, identity_graph=identity_graph)
+    trace = reference_forward_trace(means, layers, params, identity_graph)
     b, l, n = trace.means.shape
     grads = {k: np.zeros_like(v) for k, v in params.tree().items()}
     dp = np.sign(trace.p - y) / b
@@ -239,6 +242,27 @@ class TestBackward:
         assert got_losses.tobytes() == want_losses.tobytes()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("identity_graph", [False, True])
+    def test_peak_memory_at_paper_dims(self, identity_graph):
+        # The trace keeps no graph-convolved step inputs and the reverse
+        # recursion frees each step's state once it has used it; storing
+        # both and freeing nothing peaks at about 87 (B, n, H) arrays.
+        dims = ModelDims(n=20, f=64, h=64, d=5, l_seq=5)
+        batch = 32
+        params = init_params(dims, 97)
+        means, layers, y = tiny_inputs(np.random.default_rng(97), dims, batch=batch)
+        if identity_graph:
+            layers = None
+        backward_batch(means, layers, params, y, identity_graph=identity_graph)
+        tracemalloc.start()
+        try:
+            backward_batch(means, layers, params, y, identity_graph=identity_graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = np.zeros((batch, dims.n, dims.h)).nbytes
+        assert peak <= 72 * state
 
 
 class TestAdamW:
